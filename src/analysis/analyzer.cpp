@@ -329,8 +329,7 @@ bool mergeCarry(LoopCarry &Into, const LoopCarry &From) {
 }
 
 Result<FunctionFacts> analyzeFunctionFacts(const Module &M,
-                                           uint32_t DefinedIndex,
-                                           const AnalyzeOptions &AOpts) {
+                                           uint32_t DefinedIndex) {
   if (DefinedIndex >= M.Functions.size())
     return Error(ErrorCode::Malformed,
                  "analysis: function index out of range");
@@ -352,50 +351,29 @@ Result<FunctionFacts> analyzeFunctionFacts(const Module &M,
   Summary.TagsTracked =
       Type.Params.size() + Func.flattenedLocals().size() <= MaxTrackedLocals;
 
-  // Close loop back-edges. Both engines produce bit-identical carry maps and
-  // round counts (see analysis/cfg.h); the legacy engine is kept as the
-  // differential baseline.
+  Result<ControlFlowGraph> Cfg = buildCfg(M, DefinedIndex);
+  if (Cfg.isErr())
+    return Cfg.error();
+  std::vector<bool> MustMask = mustExecuteMask(Cfg.value(), Func.Body.size());
+
+  // Close loop back-edges: re-run the body with the previous pass's carry
+  // state until the carry stops growing (the tag lattice is finite, so this
+  // terminates; the cap only bounds adversarial convergence).
   LoopCarry Carry;
-  std::vector<bool> MustMask;
-  if (AOpts.Engine == FixpointEngine::CfgWorklist) {
-    Result<ControlFlowGraph> Cfg = buildCfg(M, DefinedIndex);
-    if (Cfg.isErr())
-      return Cfg.error();
-    Result<CarryFixpoint> Fix =
-        runCarryFixpoint(M, DefinedIndex, Cfg.value(), MaxFixpointPasses);
-    if (Fix.isErr())
-      return Fix.error();
-    Carry = std::move(Fix.value().Carry);
-    Summary.FixpointPasses = Fix.value().Rounds;
-    MustMask = mustExecuteMask(Cfg.value(), Func.Body.size());
-  } else {
-    // Legacy engine: re-run the body with the previous pass's carry state
-    // until the carry stops growing (the tag lattice is finite, so this
-    // terminates; the cap only bounds adversarial convergence).
-    uint32_t Passes = 0;
-    while (Passes < MaxFixpointPasses) {
-      LoopCarry Out;
-      EvalOptions Options;
-      Options.LoopCarryIn = Passes == 0 ? nullptr : &Carry;
-      Options.LoopCarryOut = &Out;
-      Result<void> Status =
-          evaluateFunction(M, DefinedIndex, nullptr, Options);
-      if (Status.isErr())
-        return Status.error();
-      ++Passes;
-      if (!mergeCarry(Carry, Out))
-        break;
-    }
-    Summary.FixpointPasses = Passes;
-    // The evaluator accepted the body, so buildCfg must too (it rejects a
-    // strict subset of what the evaluator rejects); the fallback to an
-    // all-false mask is purely defensive and keeps this engine total.
-    Result<ControlFlowGraph> Cfg = buildCfg(M, DefinedIndex);
-    if (Cfg.isOk())
-      MustMask = mustExecuteMask(Cfg.value(), Func.Body.size());
-    else
-      MustMask.assign(Func.Body.size(), false);
+  uint32_t Passes = 0;
+  while (Passes < MaxFixpointPasses) {
+    LoopCarry Out;
+    EvalOptions Options;
+    Options.LoopCarryIn = Passes == 0 ? nullptr : &Carry;
+    Options.LoopCarryOut = &Out;
+    Result<void> Status = evaluateFunction(M, DefinedIndex, nullptr, Options);
+    if (Status.isErr())
+      return Status.error();
+    ++Passes;
+    if (!mergeCarry(Carry, Out))
+      break;
   }
+  Summary.FixpointPasses = Passes;
 
   // Final pass with the collector attached; evidence is only gathered once,
   // on the stabilized state.
@@ -413,56 +391,22 @@ Result<FunctionFacts> analyzeFunctionFacts(const Module &M,
 
 } // namespace
 
-Result<LocalDefUse> computeDefUse(const Module &M, uint32_t DefinedIndex) {
-  if (DefinedIndex >= M.Functions.size())
-    return Error(ErrorCode::Malformed,
-                 "analysis: function index out of range");
-  const Function &Func = M.Functions[DefinedIndex];
-  if (Func.TypeIndex >= M.Types.size())
-    return Error(ErrorCode::Malformed,
-                 "analysis: function type index out of range");
-  size_t NumLocals = M.Types[Func.TypeIndex].Params.size() +
-                     Func.flattenedLocals().size();
-  LocalDefUse Chains;
-  Chains.Defs.resize(NumLocals);
-  Chains.Uses.resize(NumLocals);
-  for (size_t Index = 0; Index < Func.Body.size(); ++Index) {
-    const Instr &I = Func.Body[Index];
-    if (!I.isLocalOp() || I.Imm0 >= NumLocals)
-      continue;
-    size_t Local = static_cast<size_t>(I.Imm0);
-    uint32_t At = static_cast<uint32_t>(Index);
-    if (I.Op == Opcode::LocalGet)
-      Chains.Uses[Local].push_back(At);
-    else if (I.Op == Opcode::LocalSet)
-      Chains.Defs[Local].push_back(At);
-    else if (I.Op == Opcode::LocalTee) {
-      Chains.Defs[Local].push_back(At);
-      Chains.Uses[Local].push_back(At);
-    }
-  }
-  return Chains;
-}
-
 Result<FunctionSummary> analyzeFunction(const Module &M,
-                                        uint32_t DefinedIndex,
-                                        const AnalyzeOptions &Options) {
-  Result<FunctionFacts> Facts =
-      analyzeFunctionFacts(M, DefinedIndex, Options);
+                                        uint32_t DefinedIndex) {
+  Result<FunctionFacts> Facts = analyzeFunctionFacts(M, DefinedIndex);
   if (Facts.isErr())
     return Facts.error();
   return Facts.take().Summary;
 }
 
-Result<ModuleSummary> analyzeModule(const Module &M,
-                                    const AnalyzeOptions &Options) {
+Result<ModuleSummary> analyzeModule(const Module &M) {
   ModuleSummary Summary;
   Summary.Functions.reserve(M.Functions.size());
   Summary.Callees.reserve(M.Functions.size());
   std::vector<std::vector<EscapeEdge>> Edges;
   Edges.reserve(M.Functions.size());
   for (uint32_t Index = 0; Index < M.Functions.size(); ++Index) {
-    Result<FunctionFacts> Facts = analyzeFunctionFacts(M, Index, Options);
+    Result<FunctionFacts> Facts = analyzeFunctionFacts(M, Index);
     if (Facts.isErr())
       return Facts.error().withContext("function " + std::to_string(Index));
     FunctionFacts F = Facts.take();

@@ -3,10 +3,12 @@
 // Drives the typed-stack evaluator (stack_eval.h) to produce evidence
 // summaries (evidence.h) for every defined function of a validated module:
 //
-//  1. Per function, iterate evaluateFunction with loop-carry state until the
-//     back-edge local tags stabilize (bounded by MaxFixpointPasses — the tag
-//     lattice has finite height, so this converges quickly in practice), then
-//     run one final pass with the EvidenceCollector sink attached.
+//  1. Per function, build the CFG (cfg.h) for the must-execute mask, then
+//     re-run evaluateFunction over the whole body with the previous round's
+//     loop-carry state until the back-edge local tags stabilize (bounded by
+//     MaxFixpointPasses — the tag lattice has finite height, so this
+//     converges in 2-3 rounds in practice), then run one final pass with the
+//     EvidenceCollector sink attached.
 //  2. Build the direct-call graph and propagate "callee dereferences /
 //     stores through its formal" facts bottom-up (bounded by
 //     MaxCallGraphPasses for cyclic graphs).
@@ -26,7 +28,6 @@
 #include "wasm/module.h"
 
 #include <cstdint>
-#include <vector>
 
 namespace snowwhite {
 namespace analysis {
@@ -39,47 +40,17 @@ inline constexpr uint32_t MaxFixpointPasses = 8;
 /// Bottom-up call-graph propagation cap (handles recursion cycles).
 inline constexpr uint32_t MaxCallGraphPasses = 16;
 
-/// Which machinery hosts the per-function loop-carry fixpoint. Both engines
-/// produce bit-identical summaries (same Evaluator core, same rounds — see
-/// analysis/cfg.h); BodyRerun is kept as the differential baseline for tests
-/// and `snowwhite_fuzz --cfg`.
-enum class FixpointEngine : uint8_t {
-  /// Worklist over the explicit CFG: rounds resume from the earliest loop
-  /// header whose carry changed instead of re-running the whole body.
-  CfgWorklist,
-  /// Legacy engine: re-run evaluateFunction over the full body each round.
-  BodyRerun,
-};
-
-struct AnalyzeOptions {
-  FixpointEngine Engine = FixpointEngine::CfgWorklist;
-};
-
-/// Per-local def-use chains for one function: body indices of instructions
-/// writing (local.set/tee) and reading (local.get) each local.
-struct LocalDefUse {
-  std::vector<std::vector<uint32_t>> Defs; ///< Indexed by local index.
-  std::vector<std::vector<uint32_t>> Uses;
-};
-
-/// Computes def-use chains for defined function DefinedIndex. Fails only on
-/// out-of-range indices (callers analyze validated modules).
-Result<LocalDefUse> computeDefUse(const wasm::Module &M,
-                                  uint32_t DefinedIndex);
-
 /// Analyzes one defined function (fixpoint + evidence collection). The
 /// module must already be validated; a typing error inside the evaluator is
 /// reported, never asserted.
 Result<FunctionSummary> analyzeFunction(const wasm::Module &M,
-                                        uint32_t DefinedIndex,
-                                        const AnalyzeOptions &Options = {});
+                                        uint32_t DefinedIndex);
 
 /// Analyzes every defined function and closes the summaries over the direct
 /// call graph. Runs in time linear in the module size (times the small
 /// fixpoint caps); never allocates more than O(functions + params) summary
 /// state.
-Result<ModuleSummary> analyzeModule(const wasm::Module &M,
-                                    const AnalyzeOptions &Options = {});
+Result<ModuleSummary> analyzeModule(const wasm::Module &M);
 
 /// Evidence lookup for one prediction query: ParamIndex >= 0 selects a
 /// parameter, ParamIndex < 0 the return slot. Returns an empty QueryEvidence

@@ -1,6 +1,6 @@
 #include "analysis/cfg.h"
 
-#include "analysis/eval_core.h"
+#include "wasm/validate.h"
 
 #include <algorithm>
 #include <limits>
@@ -11,7 +11,6 @@
 namespace snowwhite {
 namespace analysis {
 
-using wasm::FuncType;
 using wasm::Function;
 using wasm::Instr;
 using wasm::Module;
@@ -124,7 +123,6 @@ Result<ControlFlowGraph> buildCfg(const Module &M, uint32_t DefinedIndex) {
     B.First = I;
     if (isControl(Body[I].Op)) {
       B.End = I + 1;
-      B.IsLoopInstr = Body[I].Op == Opcode::Loop;
     } else {
       size_t J = I;
       while (J < N && !isControl(Body[J].Op))
@@ -192,10 +190,10 @@ Result<ControlFlowGraph> buildCfg(const Module &M, uint32_t DefinedIndex) {
     switch (Ins.Op) {
     case Opcode::Block:
     case Opcode::Loop: {
-      if (Frames.size() >= detail::MaxControlNesting)
+      if (Frames.size() >= wasm::MaxControlNesting)
         return Error(ErrorCode::LimitExceeded,
                      "analysis: control nesting deeper than " +
-                         std::to_string(detail::MaxControlNesting));
+                         std::to_string(wasm::MaxControlNesting));
       Frames.push_back(OpenFrame{Ins.Op, I, NoEdge, {}});
       if (I + 1 < N)
         addFallTo(BId, I + 1,
@@ -204,10 +202,10 @@ Result<ControlFlowGraph> buildCfg(const Module &M, uint32_t DefinedIndex) {
       break;
     }
     case Opcode::If: {
-      if (Frames.size() >= detail::MaxControlNesting)
+      if (Frames.size() >= wasm::MaxControlNesting)
         return Error(ErrorCode::LimitExceeded,
                      "analysis: control nesting deeper than " +
-                         std::to_string(detail::MaxControlNesting));
+                         std::to_string(wasm::MaxControlNesting));
       OpenFrame F{Opcode::If, I, NoEdge, {}};
       F.IfFalseEdge = addEdge(BId, NoBlock, EdgeKind::IfFalse, false);
       Frames.push_back(std::move(F));
@@ -391,10 +389,10 @@ Result<ControlFlowGraph> buildCfg(const Module &M, uint32_t DefinedIndex) {
     // The frame-stack cap above already bounds loop nesting (a natural loop
     // needs an open `loop` frame), but keep the taxonomy-coded guard
     // explicit like every other untrusted-input limit.
-    if (Cfg.MaxLoopDepth > detail::MaxControlNesting)
+    if (Cfg.MaxLoopDepth > wasm::MaxControlNesting)
       return Error(ErrorCode::LimitExceeded,
                    "analysis: loop nesting deeper than " +
-                       std::to_string(detail::MaxControlNesting));
+                       std::to_string(wasm::MaxControlNesting));
   }
 
   // --- Dominates-exit: the idom chain of the synthetic exit is exactly the
@@ -423,82 +421,6 @@ std::vector<bool> mustExecuteMask(const ControlFlowGraph &Cfg,
       for (size_t I = B.First; I < B.End && I < BodySize; ++I)
         Mask[I] = true;
   return Mask;
-}
-
-Result<CarryFixpoint> runCarryFixpoint(const Module &M, uint32_t DefinedIndex,
-                                       const ControlFlowGraph &Cfg,
-                                       uint32_t MaxPasses) {
-  if (DefinedIndex >= M.Functions.size())
-    return Error(ErrorCode::Malformed,
-                 "analysis: function index out of range");
-  const Function &Func = M.Functions[DefinedIndex];
-  if (Func.TypeIndex >= M.Types.size())
-    return Error(ErrorCode::Malformed,
-                 "analysis: function type index out of range");
-  const FuncType &Type = M.Types[Func.TypeIndex];
-
-  CarryFixpoint Fix;
-  // Machine snapshots at loop-header blocks, keyed by the loop instruction's
-  // body index (== the carry key). A snapshot taken in round r stays valid
-  // until some *earlier* loop's carry changes — and that always triggers a
-  // resume at or before it, overwriting it.
-  std::map<size_t, detail::Evaluator::Snapshot> HeaderSnaps;
-  size_t StartInstr = 0;
-  while (Fix.Rounds < MaxPasses) {
-    LoopCarry Out;
-    EvalOptions Opts;
-    Opts.LoopCarryIn = Fix.Rounds == 0 ? nullptr : &Fix.Carry;
-    Opts.LoopCarryOut = &Out;
-    detail::Evaluator E(M, Func, Type, nullptr, Opts);
-    if (StartInstr == 0) {
-      E.prepare();
-    } else {
-      auto It = HeaderSnaps.find(StartInstr);
-      if (It == HeaderSnaps.end())
-        return Error(ErrorCode::Malformed,
-                     "analysis: cfg fixpoint missing loop snapshot");
-      E.restore(It->second);
-      ++Fix.ResumedRounds;
-    }
-    for (uint32_t BId = 1; BId < Cfg.exitId(); ++BId) {
-      const BasicBlock &B = Cfg.Blocks[BId];
-      if (B.First < StartInstr)
-        continue; // Prefix state is unchanged since its last execution.
-      if (B.IsLoopInstr)
-        HeaderSnaps[B.First] = E.save();
-      for (size_t I = B.First; I < B.End; ++I)
-        if (Result<void> S = E.stepAt(I); S.isErr())
-          return S.error();
-    }
-    if (Result<void> S = E.finish(); S.isErr())
-      return S.error();
-    ++Fix.Rounds;
-    // Merge the round's carry contributions (same join as the legacy
-    // fixpoint's mergeCarry), tracking which loop headers changed. Branches
-    // in the skipped prefix would have re-merged values already present in
-    // the carry — the tag join is idempotent — so both the carry and the
-    // changed set match a full re-run exactly.
-    size_t Earliest = std::numeric_limits<size_t>::max();
-    for (const auto &[LoopIndex, Tags] : Out) {
-      auto [It, Inserted] = Fix.Carry.try_emplace(LoopIndex, Tags);
-      bool HeaderChanged = Inserted;
-      if (!Inserted && It->second.size() == Tags.size()) {
-        for (size_t L = 0; L < Tags.size(); ++L) {
-          ValueTag Merged = mergeTags(It->second[L], Tags[L]);
-          if (!(Merged == It->second[L])) {
-            It->second[L] = Merged;
-            HeaderChanged = true;
-          }
-        }
-      }
-      if (HeaderChanged)
-        Earliest = std::min(Earliest, LoopIndex);
-    }
-    if (Earliest == std::numeric_limits<size_t>::max())
-      break;
-    StartInstr = Earliest;
-  }
-  return Fix;
 }
 
 std::string cfgToDot(const Module &M, const ControlFlowGraph &Cfg) {

@@ -14,30 +14,20 @@
 //    (a property the test suite checks on every corpus function);
 //  * an iterative dominator tree (Cooper-Harvey-Kennedy over RPO), natural
 //    loops from back edges, and a per-block dominates-exit bit that powers
-//    the path-sensitive ("must") evidence used by the serving gate;
-//  * a CFG-hosted loop-carry fixpoint (runCarryFixpoint) that replaces the
-//    analyzer's re-run-the-whole-body rounds: the machine state is
-//    snapshotted at every loop header, and each round after the first
-//    resumes from the earliest loop whose carry changed. Its rounds, carry
-//    map, and therefore every downstream evidence summary are bit-identical
-//    to the legacy fixpoint by construction (same Evaluator core, and skipped
-//    prefixes can only re-merge values that are already in the carry — the
-//    tag join is idempotent). `snowwhite_fuzz --cfg` and the cfg tests
-//    differentially enforce this.
+//    the path-sensitive ("must") evidence used by the serving gate.
 //
-// Construction mirrors the evaluator's structural rejections exactly (same
-// taxonomy codes, same bounded-nesting cap): buildCfg never rejects a body
-// the evaluator accepts, and anything buildCfg accepts but the evaluator
-// rejects is caught by the fixpoint rounds, which execute the evaluator
-// core — so the accept/reject verdict of the CFG-hosted analysis equals the
-// evaluator's on every input.
+// buildCfg is public and runs on bodies from outside the program (the CLI,
+// path tokens), so it checks the frame discipline itself and rejects the
+// same structural malformations the evaluator rejects (same taxonomy codes,
+// same wasm::MaxControlNesting cap). It never rejects a body the evaluator
+// accepts (`snowwhite_fuzz --cfg` checks this on every mutant); typing
+// errors are left to the evaluator.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef SNOWWHITE_ANALYSIS_CFG_H
 #define SNOWWHITE_ANALYSIS_CFG_H
 
-#include "analysis/stack_eval.h"
 #include "support/result.h"
 #include "wasm/module.h"
 
@@ -82,7 +72,6 @@ struct BasicBlock {
   size_t End = 0;   ///< One past the last instruction ([First, End)).
   bool IsEntry = false;
   bool IsExit = false;
-  bool IsLoopInstr = false;  ///< Single-instruction `loop` block.
   bool IsLoopHeader = false; ///< Target of at least one back edge.
   std::vector<uint32_t> Succs; ///< Edge indices out of this block.
   std::vector<uint32_t> Preds; ///< Edge indices into this block.
@@ -115,7 +104,7 @@ struct ControlFlowGraph {
 /// Builds the CFG for defined function DefinedIndex. Rejects exactly the
 /// structural malformations the evaluator rejects (same messages, same
 /// Malformed/LimitExceeded taxonomy); typing errors are left to the
-/// evaluator core driven over the graph.
+/// evaluator.
 Result<ControlFlowGraph> buildCfg(const wasm::Module &M,
                                   uint32_t DefinedIndex);
 
@@ -125,26 +114,6 @@ Result<ControlFlowGraph> buildCfg(const wasm::Module &M,
 /// never claims must-evidence, which is the conservative direction.
 std::vector<bool> mustExecuteMask(const ControlFlowGraph &Cfg,
                                   size_t BodySize);
-
-/// Result of the CFG-hosted loop-carry fixpoint.
-struct CarryFixpoint {
-  LoopCarry Carry;
-  uint32_t Rounds = 0;
-  /// Rounds (after the first) that resumed from a loop-header snapshot
-  /// instead of re-running the whole body. Diagnostic only.
-  uint32_t ResumedRounds = 0;
-};
-
-/// Runs the loop-carry fixpoint over the CFG: each round drives the shared
-/// evaluator core block-by-block in body (== reverse-post) order with the
-/// previous round's carry frozen, snapshotting the machine at loop headers;
-/// subsequent rounds resume from the earliest header whose carry changed.
-/// Rounds and the final carry are bit-identical to the legacy
-/// re-run-the-body fixpoint with the same MaxPasses cap.
-Result<CarryFixpoint> runCarryFixpoint(const wasm::Module &M,
-                                       uint32_t DefinedIndex,
-                                       const ControlFlowGraph &Cfg,
-                                       uint32_t MaxPasses);
 
 /// Graphviz rendering (one digraph) for offline triage.
 std::string cfgToDot(const wasm::Module &M, const ControlFlowGraph &Cfg);

@@ -1,6 +1,6 @@
 #include "analysis/stack_eval.h"
 
-#include "analysis/eval_core.h"
+#include "wasm/validate.h"
 
 #include <algorithm>
 #include <optional>
@@ -106,19 +106,83 @@ unsigned storeBytes(Opcode Op) {
   }
 }
 
-} // namespace
+/// The typed-stack abstract interpreter for one function body: run() walks
+/// the body once in order, feeding the sink and the loop-carry maps.
+class Evaluator {
+public:
+  Evaluator(const Module &Mod, const Function &F, const FuncType &FT,
+            EvalSink *S, const EvalOptions &Opts)
+      : M(Mod), Func(F), Type(FT), Sink(S), Options(Opts) {}
 
-namespace detail {
+  Result<void> run();
 
-void Evaluator::initLocals() {
+private:
+  /// One control frame (function body, block, loop, if, else).
+  struct Frame {
+    Opcode Kind = Opcode::Block;
+    std::vector<ValType> Results;
+    size_t StackHeight = 0;
+    bool Unreachable = false;
+    size_t InstrIndex = 0; ///< Body index of the opening instruction.
+    std::vector<ValueTag> EntryLocals; ///< Local tags at frame entry.
+    bool HasOutLocals = false;
+    std::vector<ValueTag> OutLocals; ///< Join over edges to the end label.
+    bool HasResultTags = false;
+    std::vector<ValueTag> ResultTags; ///< Join of result tags over edges.
+  };
+
+  Result<void> fail(const std::string &Message) {
+    return Error(ErrorCode::Malformed, "analysis: " + Message);
+  }
+  Result<void> failLimit(const std::string &Message) {
+    return Error(ErrorCode::LimitExceeded, "analysis: " + Message);
+  }
+
+  bool reachable() const { return !Frames.back().Unreachable; }
+  void pushFrame(Opcode Kind, std::vector<ValType> Results,
+                 size_t InstrIndex);
+  void pushValue(ValType T, ValueTag Tag = {});
+  void pushUnknown();
+  bool popExpect(ValType T, AbstractValue &Out);
+  std::optional<AbstractValue> popAny();
+  const std::vector<ValType> *labelTypes(uint64_t Depth,
+                                         std::vector<ValType> &LoopEmpty);
+  void markUnreachable();
+  void mergeLocalsInto(bool &Has, std::vector<ValueTag> &Into,
+                       const std::vector<ValueTag> &From);
+  void recordBranchLocals(uint64_t Depth);
+  void recordBranchResults(uint64_t Depth,
+                           const std::vector<AbstractValue> &Values);
+  bool popSequence(const std::vector<ValType> &Types,
+                   std::vector<AbstractValue> &Out);
+  void noteReturnValues(uint64_t Depth,
+                        const std::vector<AbstractValue> &Values);
+  Result<void> checkAlignment(const Instr &I, unsigned Bytes);
+  Result<void> checkLoad(const Instr &I, ValType Pushed);
+  Result<void> checkStore(const Instr &I, ValType Stored);
+  Result<void> checkUnary(const Instr &I, ValType In, ValType Out,
+                          Origin Org);
+  Result<void> checkBinary(const Instr &I, ValType In, ValType Out,
+                           Origin Org);
+  Result<void> step(const Instr &I, size_t Index);
+
+  const Module &M;
+  const Function &Func;
+  const FuncType &Type;
+  EvalSink *Sink;
+  const EvalOptions &Options;
+  bool TrackTags = false;
+  std::vector<ValType> LocalTypes;
+  std::vector<ValueTag> LocalTags;
+  std::vector<AbstractValue> Stack;
+  std::vector<Frame> Frames;
+};
+
+Result<void> Evaluator::run() {
   LocalTypes = Type.Params;
   for (ValType Local : Func.flattenedLocals())
     LocalTypes.push_back(Local);
   TrackTags = LocalTypes.size() <= MaxTrackedLocals;
-}
-
-void Evaluator::prepare() {
-  initLocals();
   if (TrackTags) {
     LocalTags.assign(LocalTypes.size(), {});
     for (uint32_t Index = 0; Index < Type.Params.size(); ++Index) {
@@ -130,37 +194,14 @@ void Evaluator::prepare() {
       LocalTags[Index].Org = Origin::Const;
   }
   pushFrame(Opcode::Block, Type.Results, /*InstrIndex=*/0);
-}
-
-Result<void> Evaluator::stepAt(size_t Index) {
-  return step(Func.Body[Index], Index);
-}
-
-Result<void> Evaluator::finish() {
-  if (!Frames.empty())
-    return fail("function body missing end instruction(s)");
-  return {};
-}
-
-Result<void> Evaluator::run() {
-  prepare();
   for (size_t Index = 0; Index < Func.Body.size(); ++Index) {
-    Result<void> Status = stepAt(Index);
+    Result<void> Status = step(Func.Body[Index], Index);
     if (Status.isErr())
       return Status;
   }
-  return finish();
-}
-
-Evaluator::Snapshot Evaluator::save() const {
-  return Snapshot{Stack, LocalTags, Frames};
-}
-
-void Evaluator::restore(const Snapshot &S) {
-  initLocals();
-  Stack = S.Stack;
-  LocalTags = S.LocalTags;
-  Frames = S.Frames;
+  if (!Frames.empty())
+    return fail("function body missing end instruction(s)");
+  return {};
 }
 
 void Evaluator::pushFrame(Opcode Kind, std::vector<ValType> Results,
@@ -423,9 +464,9 @@ Result<void> Evaluator::step(const Instr &I, size_t Index) {
 
   case Opcode::Block:
   case Opcode::Loop: {
-    if (Frames.size() >= MaxControlNesting)
+    if (Frames.size() >= wasm::MaxControlNesting)
       return failLimit("control nesting deeper than " +
-                       std::to_string(MaxControlNesting));
+                       std::to_string(wasm::MaxControlNesting));
     BlockType BT = I.blockType();
     std::vector<ValType> Results;
     if (BT.HasResult)
@@ -441,9 +482,9 @@ Result<void> Evaluator::step(const Instr &I, size_t Index) {
     return {};
   }
   case Opcode::If: {
-    if (Frames.size() >= MaxControlNesting)
+    if (Frames.size() >= wasm::MaxControlNesting)
       return failLimit("control nesting deeper than " +
-                       std::to_string(MaxControlNesting));
+                       std::to_string(wasm::MaxControlNesting));
     AbstractValue Cond;
     if (!popExpect(ValType::I32, Cond))
       return fail("if condition must be i32");
@@ -704,8 +745,6 @@ Result<void> Evaluator::step(const Instr &I, size_t Index) {
     AbstractValue Value;
     if (!popExpect(LocalTypes[static_cast<size_t>(I.Imm0)], Value))
       return fail("local.set type mismatch");
-    if (Sink && reachable())
-      Sink->onLocalWrite(static_cast<uint32_t>(I.Imm0), Value);
     if (TrackTags && reachable())
       LocalTags[static_cast<size_t>(I.Imm0)] = Value.Tag;
     return {};
@@ -717,8 +756,6 @@ Result<void> Evaluator::step(const Instr &I, size_t Index) {
     AbstractValue Value;
     if (!popExpect(T, Value))
       return fail("local.tee type mismatch");
-    if (Sink && reachable())
-      Sink->onLocalWrite(static_cast<uint32_t>(I.Imm0), Value);
     if (TrackTags && reachable())
       LocalTags[static_cast<size_t>(I.Imm0)] = Value.Tag;
     pushValue(T, Value.Tag);
@@ -871,7 +908,7 @@ Result<void> Evaluator::step(const Instr &I, size_t Index) {
   }
 }
 
-} // namespace detail
+} // namespace
 
 Result<void> evaluateFunction(const Module &M, uint32_t DefinedIndex,
                               EvalSink *Sink, const EvalOptions &Options) {
@@ -881,7 +918,7 @@ Result<void> evaluateFunction(const Module &M, uint32_t DefinedIndex,
   if (Func.TypeIndex >= M.Types.size())
     return Error(ErrorCode::Malformed,
                  "analysis: function type index out of range");
-  detail::Evaluator E(M, Func, M.Types[Func.TypeIndex], Sink, Options);
+  Evaluator E(M, Func, M.Types[Func.TypeIndex], Sink, Options);
   return E.run();
 }
 

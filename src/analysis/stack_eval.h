@@ -15,10 +15,10 @@
 //  * flow-sensitive local tags: `local.set`/`local.tee` strongly update the
 //    tag of the written local, `if`/`else`/`end` joins merge the tags of all
 //    inbound edges, and loop back-edges are closed by re-running the body
-//    with the previous pass's carry state (see analyzer.h for the bounded
-//    fixpoint driver);
+//    with the previous pass's carry state (analyzer.h drives this bounded
+//    fixpoint; it is the only loop-carry engine);
 //  * an EvalSink observer fed with typed operands at loads, stores, calls,
-//    numeric operations, branches-out (returns), and local writes — only at
+//    numeric operations, conditions, and branches-out (returns) — only at
 //    reachable program points — from which evidence summaries are built
 //    without materializing per-instruction state.
 //
@@ -125,8 +125,6 @@ public:
   virtual void onCall(const wasm::Instr &I, uint64_t TargetSpaceIndex,
                       bool Indirect,
                       const std::vector<AbstractValue> &Args) {}
-  /// local.set / local.tee writing Value into LocalIndex.
-  virtual void onLocalWrite(uint32_t LocalIndex, const AbstractValue &Value) {}
   /// One function-result value leaving the function: explicit `return`,
   /// `br`-family branches targeting the function frame, and the implicit
   /// fall-through at the final `end`.
@@ -150,8 +148,8 @@ struct EvalOptions {
 /// Runs the typed-stack evaluation of defined function DefinedIndex.
 /// Verdict-equivalent to wasm::validateFunction (asserted by tests and the
 /// fuzz differential); bounded on hostile inputs exactly like the validator
-/// (same control-nesting cap, no allocation proportional to anything but the
-/// body). Sink may be null.
+/// (same wasm::MaxControlNesting cap, no allocation proportional to anything
+/// but the body). Sink may be null.
 Result<void> evaluateFunction(const wasm::Module &M, uint32_t DefinedIndex,
                               EvalSink *Sink = nullptr,
                               const EvalOptions &Options = {});

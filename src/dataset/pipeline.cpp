@@ -14,6 +14,7 @@
 #include "typelang/from_dwarf.h"
 #include "wasm/abstract.h"
 #include "wasm/reader.h"
+#include "wasm/validate.h"
 
 #include <algorithm>
 #include <cassert>
@@ -51,6 +52,8 @@ std::string QuarantineReport::summary() const {
   std::string Out = "quarantined " + std::to_string(total()) + " module(s): " +
                     std::to_string(ParseFailures) + " parse, " +
                     std::to_string(DebugFailures) + " debug-info";
+  if (ValidateFailures)
+    Out += ", " + std::to_string(ValidateFailures) + " validate";
   if (WatchdogFailures)
     Out += ", " + std::to_string(WatchdogFailures) + " watchdog";
   Out += "\n";
@@ -82,8 +85,9 @@ struct KeptParsed {
 };
 
 /// Runs the shared downstream stages over the deduped survivors: DWARF
-/// extraction, dataflow analysis, function/subprogram matching, the name
-/// vocabulary, sample materialization, the per-package cap, and the split.
+/// extraction and validation, dataflow analysis, function/subprogram
+/// matching, the name vocabulary, sample materialization, the per-package
+/// cap, and the split.
 /// Out must arrive with NumPackages and the parse/dedup-stage counters
 /// already populated; this fills in everything else (including the final
 /// ingest.* telemetry counters).
@@ -100,17 +104,26 @@ void finishDataset(std::vector<KeptParsed> KeptMods,
     Stage = std::make_unique<telemetry::ScopedPhase>(Name);
   };
 
+  // Validation rides in the same parallel loop: the analysis, path and
+  // extraction stages below assume well-typed bodies.
   BeginStage("ingest.debug_extract");
   std::vector<std::optional<dwarf::DebugInfo>> Debugs(KeptMods.size());
   std::vector<std::optional<Error>> DebugErrors(KeptMods.size());
+  std::vector<std::optional<Error>> ValidateErrors(KeptMods.size());
   Pool.parallelFor(0, KeptMods.size(), 1, [&](size_t Begin, size_t End) {
     for (size_t K = Begin; K < End; ++K) {
+      std::string Context = "package " +
+                            std::to_string(KeptMods[K].PackageId) + "/obj" +
+                            std::to_string(KeptMods[K].ObjectIndex);
       Result<dwarf::DebugInfo> Debug =
           dwarf::extractDebugInfo(KeptMods[K].Mod);
       if (Debug.isErr()) {
-        DebugErrors[K].emplace(Debug.error().withContext(
-            "package " + std::to_string(KeptMods[K].PackageId) + "/obj" +
-            std::to_string(KeptMods[K].ObjectIndex)));
+        DebugErrors[K].emplace(Debug.error().withContext(Context));
+        continue;
+      }
+      if (Result<void> Valid = wasm::validateModule(KeptMods[K].Mod);
+          Valid.isErr()) {
+        ValidateErrors[K].emplace(Valid.error().withContext(Context));
         continue;
       }
       Debugs[K].emplace(Debug.take());
@@ -120,10 +133,14 @@ void finishDataset(std::vector<KeptParsed> KeptMods,
   std::vector<KeptBinary> Kept;
   for (size_t K = 0; K < KeptMods.size(); ++K) {
     if (!Debugs[K]) {
-      ++Out.Quarantine.DebugFailures;
+      bool Invalid = ValidateErrors[K].has_value();
+      const Error &Failure = Invalid ? *ValidateErrors[K] : *DebugErrors[K];
+      ++(Invalid ? Out.Quarantine.ValidateFailures
+                 : Out.Quarantine.DebugFailures);
       Out.Quarantine.Entries.push_back(
-          {KeptMods[K].PackageId, KeptMods[K].ObjectIndex, "debug-info",
-           DebugErrors[K]->code(), DebugErrors[K]->message()});
+          {KeptMods[K].PackageId, KeptMods[K].ObjectIndex,
+           Invalid ? "validate" : "debug-info", Failure.code(),
+           Failure.message()});
       continue;
     }
     ++Out.Dedup.ObjectsAfter;
@@ -360,6 +377,8 @@ void finishDataset(std::vector<KeptParsed> KeptMods,
       .add(Out.Quarantine.ParseFailures);
   telemetry::counter("ingest.quarantine.debug_failures")
       .add(Out.Quarantine.DebugFailures);
+  telemetry::counter("ingest.quarantine.validate_failures")
+      .add(Out.Quarantine.ValidateFailures);
   telemetry::counter("ingest.quarantine.watchdog_failures")
       .add(Out.Quarantine.WatchdogFailures);
   telemetry::counter("ingest.duplicates_dropped")

@@ -86,12 +86,15 @@ struct QuarantineEntry {
 struct QuarantineReport {
   uint64_t ParseFailures = 0;  ///< wasm::readModule rejected the bytes.
   uint64_t DebugFailures = 0;  ///< DWARF sections missing or malformed.
+  uint64_t ValidateFailures = 0; ///< wasm::validateModule rejected a module
+                                 ///< that parsed (ill-typed body, bad index).
   uint64_t WatchdogFailures = 0; ///< Per-file stall/byte-budget watchdog
                                  ///< fired (streaming ingest only).
   std::vector<QuarantineEntry> Entries;
 
   uint64_t total() const {
-    return ParseFailures + DebugFailures + WatchdogFailures;
+    return ParseFailures + DebugFailures + ValidateFailures +
+           WatchdogFailures;
   }
   bool empty() const { return Entries.empty(); }
   /// Human-readable multi-line summary ("stage counts + one line per entry").

@@ -550,17 +550,11 @@ const KernelBackend DifferentialBackend = {"differential", diffGemm,
                                            diffGemmTB, diffGemmTA,
                                            diffGemmInt8};
 
-#ifndef SNOWWHITE_KERNEL_DEFAULT
-#define SNOWWHITE_KERNEL_DEFAULT "tuned"
-#endif
-
 const KernelBackend *resolveInitial() {
   if (const char *Env = std::getenv("SNOWWHITE_KERNEL"))
     if (const KernelBackend *Backend = find(Env))
       return Backend;
-  if (const KernelBackend *Backend = find(SNOWWHITE_KERNEL_DEFAULT))
-    return Backend;
-  return &ReferenceBackend;
+  return &TunedBackend;
 }
 
 std::atomic<const KernelBackend *> Active{nullptr};

@@ -107,7 +107,7 @@ const KernelBackend *find(std::string_view Name);
 
 /// The backend the graph routes through. Resolution order: the last
 /// successful setActive() call, else the SNOWWHITE_KERNEL environment
-/// variable, else the compile-time default (-DSNOWWHITE_KERNEL=...).
+/// variable (unknown names are ignored), else "tuned".
 const KernelBackend &active();
 const char *activeName();
 

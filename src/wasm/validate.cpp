@@ -11,12 +11,6 @@ namespace wasm {
 
 namespace {
 
-/// Control nesting cap. The reader already bounds body size by section
-/// bytes, but a body of back-to-back `block` opcodes would still grow the
-/// frame stack linearly with input size; cap it so hostile inputs get a
-/// structured LimitExceeded instead of unbounded memory growth.
-constexpr size_t MaxControlNesting = 1024;
-
 /// A value-stack entry: a concrete type, or "unknown" below an unreachable
 /// point (stack-polymorphic).
 struct StackValue {

@@ -13,8 +13,18 @@
 #include "support/result.h"
 #include "wasm/module.h"
 
+#include <cstddef>
+
 namespace snowwhite {
 namespace wasm {
+
+/// Control nesting cap. The reader already bounds body size by section
+/// bytes, but a body of back-to-back `block` opcodes would still grow the
+/// frame stack linearly with input size; cap it so hostile inputs get a
+/// structured LimitExceeded instead of unbounded memory growth. The
+/// analysis evaluator and buildCfg reject at the same depth, so all three
+/// agree on every body.
+inline constexpr size_t MaxControlNesting = 1024;
 
 /// Validates the body of defined function DefinedIndex against its type,
 /// locals, and the module context (types, imports, globals, memories).

@@ -17,6 +17,7 @@
 #include "frontend/corpus.h"
 #include "model/serving.h"
 #include "model/trainer.h"
+#include "support/hash.h"
 #include "support/thread_pool.h"
 #include "typelang/type.h"
 #include "wasm/validate.h"
@@ -508,23 +509,27 @@ TEST(Analysis, EvidenceTokensAppearInDatasetInputs) {
   EXPECT_EQ(Without.Train, With.Train);
 }
 
-// --- Def-use chains -----------------------------------------------------------
+TEST(Analysis, CorpusSummariesGolden) {
+  // Pins every evidence summary of the seed-11 corpus (the one the CFG
+  // tests use) and the total loop-carry fixpoint rounds, so a change to the
+  // fixpoint driver or the evaluator that alters any summary byte fails.
+  frontend::CorpusSpec Spec;
+  Spec.NumPackages = 8;
+  Spec.Seed = 11;
+  frontend::Corpus Corpus = frontend::buildCorpus(Spec);
 
-TEST(Analysis, DefUseChains) {
-  Module M = moduleWithBody(
-      {Instr::localGet(0), Instr::localSet(1), Instr::localGet(1),
-       Instr(Opcode::Drop), Instr(Opcode::End)},
-      {ValType::I32}, {}, {ValType::I32});
-  Result<LocalDefUse> Chains = computeDefUse(M, 0);
-  ASSERT_TRUE(Chains.isOk());
-  ASSERT_EQ(Chains->Defs.size(), 2u);
-  EXPECT_TRUE(Chains->Defs[0].empty());
-  ASSERT_EQ(Chains->Defs[1].size(), 1u);
-  EXPECT_EQ(Chains->Defs[1][0], 1u);
-  ASSERT_EQ(Chains->Uses[0].size(), 1u);
-  EXPECT_EQ(Chains->Uses[0][0], 0u);
-  ASSERT_EQ(Chains->Uses[1].size(), 1u);
-  EXPECT_EQ(Chains->Uses[1][0], 2u);
+  std::string Json;
+  uint64_t FixpointPasses = 0;
+  for (const frontend::Package &Package : Corpus.Packages)
+    for (const frontend::CompiledObject &Object : Package.Objects) {
+      Result<ModuleSummary> Summary = analyzeModule(Object.Mod);
+      ASSERT_TRUE(Summary.isOk()) << Object.FileName;
+      Json += toJson(*Summary);
+      for (const FunctionSummary &F : Summary->Functions)
+        FixpointPasses += F.FixpointPasses;
+    }
+  EXPECT_EQ(hashToHex(hashString(Json)), "835cb20e31cbc87d");
+  EXPECT_EQ(FixpointPasses, 157u);
 }
 
 // --- Consistency gate ---------------------------------------------------------

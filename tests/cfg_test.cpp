@@ -4,10 +4,9 @@
 // and typed edges for every control construct (including br_table fan-out
 // with duplicate-target dedup, unreachable-terminated blocks, and nested
 // loops), the RPO == body-order property, dominator-tree invariants, the
-// must-execute mask behind the path-sensitive gate, verdict- and
-// bit-identity of the CFG-hosted fixpoint engine against the legacy
-// re-run-the-body engine (hand bodies + the whole synthetic corpus),
-// bounded WasmWalker-style path-token extraction, SNOWWHITE_THREADS
+// must-execute mask behind the path-sensitive gate, corpus-wide structural
+// invariants, a loop that needs several fixpoint rounds, bounded
+// WasmWalker-style path-token extraction, SNOWWHITE_THREADS
 // invariance of summaries and path tokens, DOT/JSON goldens, and the
 // branch-join regressions behind the `else` fix in stack_eval.cpp.
 //
@@ -91,9 +90,12 @@ size_t countEdges(const ControlFlowGraph &Cfg, uint32_t From, EdgeKind Kind) {
 
 /// Asserts the structural invariants every CFG must satisfy: the body is
 /// partitioned in order, RPO numbers match body order (every non-back edge
-/// goes forward), back edges target loop headers, idoms strictly precede
-/// their blocks in RPO, and the entry dominates every reachable block.
-void checkInvariants(const ControlFlowGraph &Cfg, size_t BodySize) {
+/// goes forward), back edges target `loop` instructions, idoms strictly
+/// precede their blocks in RPO, and the entry dominates every reachable
+/// block.
+void checkInvariants(const ControlFlowGraph &Cfg,
+                     const std::vector<Instr> &Body) {
+  const size_t BodySize = Body.size();
   ASSERT_GE(Cfg.Blocks.size(), 2u);
   EXPECT_TRUE(Cfg.Blocks.front().IsEntry);
   EXPECT_TRUE(Cfg.Blocks.back().IsExit);
@@ -121,7 +123,7 @@ void checkInvariants(const ControlFlowGraph &Cfg, size_t BodySize) {
       continue; // Dead code keeps no ordering promises.
     ASSERT_NE(To.Rpo, NoBlock) << "edge from live block to dead block";
     if (E.Back) {
-      EXPECT_TRUE(To.IsLoopInstr);
+      EXPECT_TRUE(To.First < BodySize && Body[To.First].Op == Opcode::Loop);
       EXPECT_TRUE(To.IsLoopHeader);
       EXPECT_LE(To.Rpo, From.Rpo);
     } else {
@@ -149,7 +151,7 @@ TEST(Cfg, StraightLineCoalescesIntoOneBlock) {
                              Instr(Opcode::I32Add), Instr(Opcode::Drop),
                              Instr(Opcode::End)});
   ControlFlowGraph Cfg = cfgFor(M);
-  checkInvariants(Cfg, 5);
+  checkInvariants(Cfg, M.Functions[0].Body);
   // entry, the 4-instruction run, the final `end`, exit.
   ASSERT_EQ(Cfg.Blocks.size(), 4u);
   EXPECT_EQ(Cfg.Blocks[1].First, 0u);
@@ -167,7 +169,7 @@ TEST(Cfg, BlockConstructEmitsBlockEntryEdge) {
                              Instr(Opcode::Nop), Instr(Opcode::End),
                              Instr(Opcode::End)});
   ControlFlowGraph Cfg = cfgFor(M);
-  checkInvariants(Cfg, 4);
+  checkInvariants(Cfg, M.Functions[0].Body);
   uint32_t BlockInstr = blockAt(Cfg, 0);
   EXPECT_EQ(countEdges(Cfg, BlockInstr, EdgeKind::BlockEntry), 1u);
 }
@@ -179,7 +181,7 @@ TEST(Cfg, IfElseEdgesAndJoin) {
        Instr(Opcode::End), Instr(Opcode::End)},
       {ValType::I32});
   ControlFlowGraph Cfg = cfgFor(M);
-  checkInvariants(Cfg, 7);
+  checkInvariants(Cfg, M.Functions[0].Body);
   uint32_t If = blockAt(Cfg, 1);
   EXPECT_EQ(countEdges(Cfg, If, EdgeKind::IfTrue), 1u);
   EXPECT_EQ(countEdges(Cfg, If, EdgeKind::IfFalse), 1u);
@@ -206,7 +208,7 @@ TEST(Cfg, IfWithoutElseFalseEdgeSkipsToJoin) {
        Instr(Opcode::Nop), Instr(Opcode::End), Instr(Opcode::End)},
       {ValType::I32});
   ControlFlowGraph Cfg = cfgFor(M);
-  checkInvariants(Cfg, 5);
+  checkInvariants(Cfg, M.Functions[0].Body);
   uint32_t If = blockAt(Cfg, 1);
   uint32_t Join = blockAt(Cfg, 3);
   bool FalseToJoin = false;
@@ -229,7 +231,7 @@ TEST(Cfg, BrTableFanOutDeduplicatesTargets) {
        Instr(Opcode::End)},
       {ValType::I32});
   ControlFlowGraph Cfg = cfgFor(M);
-  checkInvariants(Cfg, 7);
+  checkInvariants(Cfg, M.Functions[0].Body);
   uint32_t TableBlock = blockAt(Cfg, 3);
   EXPECT_EQ(countEdges(Cfg, TableBlock, EdgeKind::BrTable), 2u);
   EXPECT_EQ(Cfg.Blocks[TableBlock].Succs.size(), 2u);
@@ -249,7 +251,7 @@ TEST(Cfg, NestedLoopsDepthsAndBackEdges) {
        Instr(Opcode::End)},
       {ValType::I32});
   ControlFlowGraph Cfg = cfgFor(M);
-  checkInvariants(Cfg, 9);
+  checkInvariants(Cfg, M.Functions[0].Body);
   uint32_t Outer = blockAt(Cfg, 0);
   uint32_t Inner = blockAt(Cfg, 1);
   EXPECT_TRUE(Cfg.Blocks[Outer].IsLoopHeader);
@@ -277,7 +279,7 @@ TEST(Cfg, UnreachableTerminatedBlockEdgesToExit) {
        Instr(Opcode::Unreachable), Instr(Opcode::End), Instr(Opcode::End)},
       {ValType::I32});
   ControlFlowGraph Cfg = cfgFor(M);
-  checkInvariants(Cfg, 5);
+  checkInvariants(Cfg, M.Functions[0].Body);
   uint32_t Trap = blockAt(Cfg, 2);
   ASSERT_EQ(Cfg.Blocks[Trap].Succs.size(), 1u);
   const CfgEdge &E = Cfg.Edges[Cfg.Blocks[Trap].Succs[0]];
@@ -289,7 +291,7 @@ TEST(Cfg, ReturnEdgesToExitAndDeadTail) {
   Module M = moduleWithBody({Instr(Opcode::Return), Instr(Opcode::Nop),
                              Instr(Opcode::End)});
   ControlFlowGraph Cfg = cfgFor(M);
-  checkInvariants(Cfg, 3);
+  checkInvariants(Cfg, M.Functions[0].Body);
   uint32_t Ret = blockAt(Cfg, 0);
   ASSERT_EQ(Cfg.Blocks[Ret].Succs.size(), 1u);
   EXPECT_EQ(Cfg.Edges[Cfg.Blocks[Ret].Succs[0]].Kind, EdgeKind::Return);
@@ -395,18 +397,13 @@ TEST(Cfg, MustCountersZeroInsideLoopsThatMayNotReachExit) {
   EXPECT_FALSE(P.mustDirectlyDereferenced());
 }
 
-// --- Engine differential (worklist vs. legacy re-run) -------------------------
+// --- Corpus-wide invariants and the multi-round fixpoint ----------------------
 
-TEST(Cfg, EnginesAgreeOnSyntheticCorpus) {
+TEST(Cfg, InvariantsHoldOnSyntheticCorpus) {
   frontend::CorpusSpec Spec;
   Spec.NumPackages = 8;
   Spec.Seed = 11;
   frontend::Corpus Corpus = frontend::buildCorpus(Spec);
-
-  AnalyzeOptions Worklist;
-  Worklist.Engine = FixpointEngine::CfgWorklist;
-  AnalyzeOptions Rerun;
-  Rerun.Engine = FixpointEngine::BodyRerun;
 
   size_t Functions = 0;
   for (const frontend::Package &Package : Corpus.Packages)
@@ -420,44 +417,25 @@ TEST(Cfg, EnginesAgreeOnSyntheticCorpus) {
         ASSERT_TRUE(Cfg.isOk())
             << Object.FileName << " fn " << I << ": "
             << Cfg.error().message();
-        checkInvariants(*Cfg, M.Functions[I].Body.size());
+        checkInvariants(*Cfg, M.Functions[I].Body);
         ++Functions;
       }
-      Result<ModuleSummary> A = analyzeModule(M, Worklist);
-      Result<ModuleSummary> B = analyzeModule(M, Rerun);
-      ASSERT_TRUE(A.isOk()) << A.error().message();
-      ASSERT_TRUE(B.isOk()) << B.error().message();
-      // Bit-identical evidence summaries, not just equal verdicts.
-      EXPECT_EQ(toJson(*A), toJson(*B)) << Object.FileName;
     }
   EXPECT_GT(Functions, 100u);
 }
 
-TEST(Cfg, WorklistRoundsMatchLegacyPassesAndResume) {
-  // A loop whose carry changes between rounds, with a straight-line prefix
-  // in front of it so the resumed rounds have something to skip (a loop at
-  // body index 0 resumes from index 0 — a full re-run, not a resume).
+TEST(Cfg, LoopCarryNeedsMoreThanOneRound) {
+  // A loop whose carry changes between rounds: the fixpoint must run more
+  // than one round to close the back edge.
   Module M = moduleWithBody(
       {Instr(Opcode::Nop), Instr::loop(BlockType::empty()),
        Instr::localGet(1), Instr::i32Const(1), Instr(Opcode::I32Add),
        Instr::localSet(1), Instr::localGet(0), Instr::brIf(0),
        Instr(Opcode::End), Instr(Opcode::End)},
       {ValType::I32}, {}, {ValType::I32});
-  Result<FunctionSummary> ByWorklist = analyzeFunction(M, 0);
-  Result<FunctionSummary> ByRerun =
-      analyzeFunction(M, 0, {FixpointEngine::BodyRerun});
-  ASSERT_TRUE(ByWorklist.isOk()) << ByWorklist.error().message();
-  ASSERT_TRUE(ByRerun.isOk()) << ByRerun.error().message();
-  EXPECT_EQ(ByWorklist->FixpointPasses, ByRerun->FixpointPasses);
-  EXPECT_GT(ByWorklist->FixpointPasses, 1u);
-  EXPECT_EQ(toJson(*ByWorklist), toJson(*ByRerun));
-
-  ControlFlowGraph Cfg = cfgFor(M);
-  Result<CarryFixpoint> Fix = runCarryFixpoint(M, 0, Cfg, MaxFixpointPasses);
-  ASSERT_TRUE(Fix.isOk()) << Fix.error().message();
-  EXPECT_EQ(Fix->Rounds, ByWorklist->FixpointPasses);
-  // Every round after the first resumed from the loop-header snapshot.
-  EXPECT_EQ(Fix->ResumedRounds, Fix->Rounds - 1);
+  Result<FunctionSummary> Summary = analyzeFunction(M, 0);
+  ASSERT_TRUE(Summary.isOk()) << Summary.error().message();
+  EXPECT_GT(Summary->FixpointPasses, 1u);
 }
 
 // --- Branch-join regressions (the `else` fix in stack_eval.cpp) ---------------

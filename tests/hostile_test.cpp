@@ -388,6 +388,41 @@ TEST(Quarantine, SurvivorsIdenticalToCleanBuildWithoutVictim) {
   EXPECT_EQ(A.Test, B.Test);
 }
 
+TEST(Quarantine, IllTypedObjectIsQuarantinedAtValidate) {
+  // A module that parses and keeps its debug sections but has an ill-typed
+  // body must be set aside, not contribute samples without evidence.
+  frontend::CorpusSpec Spec;
+  Spec.NumPackages = 6;
+  Spec.Seed = 12;
+  frontend::Corpus WithVictim = frontend::buildCorpus(Spec);
+  frontend::Corpus Without = frontend::buildCorpus(Spec);
+  frontend::CompiledObject &Victim = WithVictim.Packages.at(1).Objects.at(0);
+  std::vector<wasm::Instr> &Body = Victim.Mod.Functions.at(0).Body;
+  Body.insert(Body.begin(), wasm::Instr(wasm::Opcode::I32Add)); // Underflow.
+  Victim.Bytes = wasm::writeModule(Victim.Mod);
+  ASSERT_TRUE(wasm::readModule(Victim.Bytes).isOk());
+  Without.Packages.at(1).Objects.erase(
+      Without.Packages.at(1).Objects.begin());
+
+  dataset::Dataset A = dataset::buildDataset(WithVictim);
+  dataset::Dataset B = dataset::buildDataset(Without);
+  EXPECT_EQ(A.Quarantine.ValidateFailures, 1u);
+  EXPECT_EQ(A.Quarantine.total(), 1u);
+  ASSERT_EQ(A.Quarantine.Entries.size(), 1u);
+  EXPECT_EQ(A.Quarantine.Entries[0].Stage, "validate");
+  EXPECT_EQ(A.Quarantine.Entries[0].PackageId, WithVictim.Packages.at(1).Id);
+  EXPECT_NE(A.Quarantine.summary().find("1 validate"), std::string::npos);
+  EXPECT_EQ(B.Quarantine.total(), 0u);
+  ASSERT_EQ(A.Samples.size(), B.Samples.size());
+  for (size_t I = 0; I < A.Samples.size(); ++I) {
+    EXPECT_EQ(A.Samples[I].Input, B.Samples[I].Input);
+    EXPECT_EQ(A.Samples[I].RichType.toString(), B.Samples[I].RichType.toString());
+  }
+  EXPECT_EQ(A.Train, B.Train);
+  EXPECT_EQ(A.Valid, B.Valid);
+  EXPECT_EQ(A.Test, B.Test);
+}
+
 // --- Kill-and-resume -------------------------------------------------------
 
 class KillResume : public ::testing::Test {

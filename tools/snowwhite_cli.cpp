@@ -359,12 +359,13 @@ static std::string ingestSummary(const dataset::Dataset &Data,
   std::snprintf(
       Line, sizeof(Line),
       "ingested %zu file(s): %llu kept, %llu quarantined "
-      "(%llu parse, %llu debug-info, %llu watchdog), %zu samples "
-      "(%zu train / %zu valid / %zu test)\n",
+      "(%llu parse, %llu debug-info, %llu validate, %llu watchdog), "
+      "%zu samples (%zu train / %zu valid / %zu test)\n",
       NumFiles, static_cast<unsigned long long>(Data.Dedup.ObjectsAfter),
       static_cast<unsigned long long>(Data.Quarantine.total()),
       static_cast<unsigned long long>(Data.Quarantine.ParseFailures),
       static_cast<unsigned long long>(Data.Quarantine.DebugFailures),
+      static_cast<unsigned long long>(Data.Quarantine.ValidateFailures),
       static_cast<unsigned long long>(Data.Quarantine.WatchdogFailures),
       Data.Samples.size(), Data.Train.size(), Data.Valid.size(),
       Data.Test.size());
