@@ -15,6 +15,7 @@
 #include <map>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace snowwhite {
@@ -52,6 +53,10 @@ public:
   std::vector<std::string> symbolVocabulary() const;
 
   size_t numMerges() const { return Merges.size(); }
+  /// The learned merges in learn order.
+  const std::vector<std::pair<std::string, std::string>> &merges() const {
+    return Merges;
+  }
   bool isTrained() const { return Trained; }
 
 private:
@@ -61,7 +66,9 @@ private:
   std::vector<std::pair<std::string, std::string>> Merges;
   /// Merge lookup: "left\x1fright" -> rank.
   std::unordered_map<std::string, size_t> MergeRank;
-  std::vector<std::string> ProtectedTokens;
+  /// Tokens never split; one set serves training, encodeWord and
+  /// decodeSequence.
+  std::unordered_set<std::string> ProtectedTokens;
   std::vector<std::string> BaseSymbols;
   bool Trained = false;
 };

@@ -82,34 +82,33 @@ Task::Task(const Dataset &Data, const TaskOptions &Options)
             protectedTokens(HasEvidenceTokens, HasPathTokens));
   for (const std::string &Symbol : Bpe.symbolVocabulary())
     SourceVocab.addToken(Symbol);
+  WordSourceIds.reserve(WordFrequencies.size());
+  for (const auto &Entry : WordFrequencies)
+    WordSourceIds.emplace(Entry.first,
+                          SourceVocab.encode(Bpe.encodeWord(Entry.first)));
 
-  // Target vocabulary from training targets.
-  auto TargetTokensOf = [&](const TypeSample &Sample) {
-    if (Options.Kind == TaskKind::TK_Fields)
-      return Sample.FieldTokens;
-    return typelang::lowerTypeToLanguage(Sample.RichType, Options.Language,
-                                         &Data.Names);
-  };
-  auto TargetSymbolsOf = [&](const TypeSample &Sample) {
-    std::vector<std::string> Tokens = TargetTokensOf(Sample);
-    if (Options.BpeTargets)
-      return Bpe.encodeSequence(Tokens);
-    return Tokens;
-  };
-  for (uint32_t Index : TrainIdx)
-    for (const std::string &Token : TargetSymbolsOf(Data.Samples[Index]))
-      TargetVocab.addToken(Token);
-
-  // Encode all splits.
+  // Encode all splits, lowering each target type once. The target
+  // vocabulary grows from the training split's target symbols; a symbol
+  // keeps its id once added, so encoding a training sample right after
+  // adding its symbols gives the ids a vocabulary-first pass would.
   auto EncodeAll = [&](const std::vector<uint32_t> &Indices,
-                       std::vector<EncodedSample> &Out) {
+                       std::vector<EncodedSample> &Out, bool GrowTargetVocab) {
     Out.reserve(Indices.size());
     for (uint32_t Index : Indices) {
       const TypeSample &Sample = Data.Samples[Index];
       EncodedSample Encoded;
       Encoded.Source = encodeSource(Sample.Input);
-      Encoded.TargetTokens = TargetTokensOf(Sample);
-      Encoded.Target = TargetVocab.encode(TargetSymbolsOf(Sample));
+      Encoded.TargetTokens =
+          WantFields ? Sample.FieldTokens
+                     : typelang::lowerTypeToLanguage(
+                           Sample.RichType, Options.Language, &Data.Names);
+      std::vector<std::string> TargetSymbols =
+          Options.BpeTargets ? Bpe.encodeSequence(Encoded.TargetTokens)
+                             : Encoded.TargetTokens;
+      if (GrowTargetVocab)
+        for (const std::string &Symbol : TargetSymbols)
+          TargetVocab.addToken(Symbol);
+      Encoded.Target = TargetVocab.encode(TargetSymbols);
       Encoded.LowLevel = Sample.LowLevel;
       Encoded.NestingDepth =
           typelang::filterTypeNames(Sample.RichType, &Data.Names)
@@ -118,20 +117,30 @@ Task::Task(const Dataset &Data, const TaskOptions &Options)
       Out.push_back(std::move(Encoded));
     }
   };
-  EncodeAll(TrainIdx, Train);
-  EncodeAll(ValidIdx, Valid);
-  EncodeAll(TestIdx, Test);
+  EncodeAll(TrainIdx, Train, true);
+  EncodeAll(ValidIdx, Valid, false);
+  EncodeAll(TestIdx, Test, false);
 }
 
 std::vector<uint32_t>
 Task::encodeSource(const std::vector<std::string> &Tokens) const {
-  std::vector<std::string> Words = Tokens;
-  if (Options.StripLowLevelType && Words.size() >= 2 &&
-      Words[1] == dataset::BeginToken) {
-    // Drop the leading low-level type token (ablation).
-    Words.erase(Words.begin());
+  // The low-level-type ablation drops the leading type token.
+  size_t First = Options.StripLowLevelType && Tokens.size() >= 2 &&
+                         Tokens[1] == dataset::BeginToken
+                     ? 1
+                     : 0;
+  std::vector<uint32_t> Ids;
+  Ids.reserve(Tokens.size() - First);
+  for (size_t I = First; I < Tokens.size(); ++I) {
+    auto It = WordSourceIds.find(Tokens[I]);
+    if (It != WordSourceIds.end()) {
+      Ids.insert(Ids.end(), It->second.begin(), It->second.end());
+      continue;
+    }
+    for (const std::string &Symbol : Bpe.encodeWord(Tokens[I]))
+      Ids.push_back(SourceVocab.idOf(Symbol));
   }
-  return SourceVocab.encode(Bpe.encodeSequence(Words));
+  return Ids;
 }
 
 std::vector<std::string>

@@ -17,6 +17,7 @@
 #include "typelang/variants.h"
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace snowwhite {
@@ -87,12 +88,13 @@ public:
   decodeTarget(const std::vector<uint32_t> &Ids) const;
 
 private:
-  EncodedSample encodeSample(const dataset::TypeSample &Sample,
-                             const typelang::NameVocabulary &Names) const;
-
   TaskOptions Options;
   dataset::BpeModel Bpe;
   dataset::TokenVocab SourceVocab;
+  /// Source ids of every distinct training word, filled once in the
+  /// constructor and read-only after, so one const Task can encode from
+  /// many threads. Other words take the BPE merge loop.
+  std::unordered_map<std::string, std::vector<uint32_t>> WordSourceIds;
   dataset::TokenVocab TargetVocab;
   std::vector<EncodedSample> Train, Valid, Test;
 };

@@ -6,6 +6,7 @@
 #include "dataset/token_vocab.h"
 #include "frontend/codegen.h"
 #include "frontend/corpus.h"
+#include "model/task.h"
 #include "wasm/writer.h"
 
 #include <gtest/gtest.h>
@@ -237,6 +238,83 @@ TEST(Bpe, VocabularyBounded) {
   BpeModel Model;
   Model.train(Words, 120);
   EXPECT_LE(Model.symbolVocabulary().size(), 130u);
+}
+
+TEST(Bpe, EqualCountsPickTheSmallestPair) {
+  // Every pair occurs 3 times; merges follow (left, right) string order.
+  std::map<std::string, uint64_t> Words = {{"zb", 3}, {"za", 3}, {"ya", 3}};
+  BpeModel Model;
+  Model.train(Words, 4 + 3);
+  using Merge = std::pair<std::string, std::string>;
+  EXPECT_EQ(Model.merges(),
+            (std::vector<Merge>{{"y", "a</w>"}, {"z", "a</w>"},
+                                {"z", "b</w>"}}));
+}
+
+TEST(Bpe, SelfOverlappingPairMergesLeftToRight) {
+  // a a a a</w>: applying (a, a) left to right without overlap gives
+  // aa a a</w>, whose two pairs tie and learn (a, a</w>) next. A
+  // right-to-left application would give a aa a</w> and learn (a, aa).
+  std::map<std::string, uint64_t> Words = {{"aaaa", 5}};
+  BpeModel Model;
+  Model.train(Words, 2 + 2);
+  using Merge = std::pair<std::string, std::string>;
+  EXPECT_EQ(Model.merges(),
+            (std::vector<Merge>{{"a", "a"}, {"a", "a</w>"}}));
+  EXPECT_EQ(Model.encodeWord("aaaa"),
+            (std::vector<std::string>{"aa", "aa</w>"}));
+  EXPECT_EQ(Model.encodeWord("aaaaa"),
+            (std::vector<std::string>{"aa", "aa", "a</w>"}));
+}
+
+TEST(Bpe, ProtectedWordsAreLeftOutOfTraining) {
+  std::map<std::string, uint64_t> Words = {{"<p>", 1000}, {"xy", 2}};
+  BpeModel Model;
+  Model.train(Words, 100, {"<p>"});
+  using Merge = std::pair<std::string, std::string>;
+  EXPECT_EQ(Model.merges(), (std::vector<Merge>{{"x", "y</w>"}}));
+  EXPECT_EQ(Model.symbolVocabulary(),
+            (std::vector<std::string>{"<p>", "x", "xy</w>", "y</w>"}));
+}
+
+TEST(Bpe, UnseenWordsEncodeAndRoundTrip) {
+  std::map<std::string, uint64_t> Words = {{"local.get", 100}, {"i32", 40}};
+  BpeModel Model;
+  Model.train(Words, 60, {"<param>"});
+  for (const std::string &Word :
+       {std::string(), std::string("\x7f"), std::string("zq\x7f"),
+        std::string("local.set")}) {
+    std::vector<std::string> Symbols = Model.encodeWord(Word);
+    EXPECT_FALSE(Symbols.empty());
+    EXPECT_EQ(Model.decodeSequence(Symbols), std::vector<std::string>{Word});
+  }
+  std::vector<std::string> Sequence = {"", "<param>", "\x7f", "local.get"};
+  EXPECT_EQ(Model.decodeSequence(Model.encodeSequence(Sequence)), Sequence);
+}
+
+TEST(Bpe, TaskWordTableMatchesMergeLoop) {
+  // Task encodes training words from a table filled once; every entry, and
+  // every word the table misses, must equal the BPE merge loop's ids.
+  frontend::CorpusSpec Spec;
+  Spec.NumPackages = 10;
+  Spec.Seed = 5;
+  Dataset Data = buildDataset(frontend::buildCorpus(Spec));
+  model::Task T(Data, model::TaskOptions());
+  auto MergeLoop = [&](const std::string &Word) {
+    return T.sourceVocab().encode(T.bpe().encodeWord(Word));
+  };
+  std::set<std::string> TrainWords;
+  for (const model::EncodedSample &Sample : T.train())
+    for (const std::string &Word : Data.Samples[Sample.DatasetIndex].Input)
+      TrainWords.insert(Word);
+  ASSERT_FALSE(TrainWords.empty());
+  for (const std::string &Word : TrainWords)
+    EXPECT_EQ(T.encodeSource({Word}), MergeLoop(Word)) << Word;
+  for (const std::string &Word :
+       {std::string(), std::string("\x7f"), std::string("never_seen_42")}) {
+    ASSERT_EQ(TrainWords.count(Word), 0u);
+    EXPECT_EQ(T.encodeSource({Word}), MergeLoop(Word));
+  }
 }
 
 // --- Token vocab ------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include "model/predictor.h"
 #include "model/task.h"
 #include "model/trainer.h"
+#include "support/hash.h"
 #include "support/str.h"
 #include "typelang/type.h"
 #include "typelang/variants.h"
@@ -109,6 +110,54 @@ TEST(Task, AllNamesVocabularyIsLarger) {
   AllNames.Language = TypeLanguageKind::TL_SwAllNames;
   Task AllNamesTask(sharedDataset(), AllNames);
   EXPECT_GT(AllNamesTask.targetVocab().size(), SwTask.targetVocab().size());
+}
+
+TEST(Task, CorpusEncodingGolden) {
+  // Pins the BPE merge list, both vocabularies in id order and every
+  // split's source and target ids, with evidence and path tokens on as the
+  // benchmark builds its Task, so a change to BPE training or to source or
+  // target encoding that alters any id fails. The second task covers
+  // target BPE and the low-level-type ablation.
+  frontend::CorpusSpec Spec;
+  Spec.NumPackages = 20;
+  Spec.Seed = 11;
+  frontend::Corpus Corpus = frontend::buildCorpus(Spec);
+  dataset::DatasetOptions DataOptions;
+  DataOptions.Extract.EvidenceTokens = true;
+  DataOptions.Extract.PathTokens = true;
+  DataOptions.TrainFraction = 0.6;
+  DataOptions.ValidFraction = 0.1;
+  Dataset Data = dataset::buildDataset(Corpus, DataOptions);
+
+  TaskOptions Plain;
+  Plain.Language = TypeLanguageKind::TL_SwSimplified;
+  TaskOptions Variant;
+  Variant.Kind = TaskKind::TK_Return;
+  Variant.BpeTargets = true;
+  Variant.StripLowLevelType = true;
+  Variant.BpeVocabSize = 300;
+
+  std::string Text;
+  auto AppendIds = [&](const std::vector<uint32_t> &Ids) {
+    for (uint32_t Id : Ids)
+      Text += std::to_string(Id) + ",";
+    Text += "\n";
+  };
+  for (const TaskOptions &Options : {Plain, Variant}) {
+    Task T(Data, Options);
+    for (const auto &[Left, Right] : T.bpe().merges())
+      Text += Left + "\x1f" + Right + "\n";
+    for (const dataset::TokenVocab *Vocab : {&T.sourceVocab(), &T.targetVocab()})
+      for (uint32_t Id = 0; Id < Vocab->size(); ++Id)
+        Text += Vocab->tokenOf(Id) + "\n";
+    for (const std::vector<EncodedSample> *Split : {&T.train(), &T.valid(),
+                                                    &T.test()})
+      for (const EncodedSample &Sample : *Split) {
+        AppendIds(Sample.Source);
+        AppendIds(Sample.Target);
+      }
+  }
+  EXPECT_EQ(hashToHex(hashString(Text)), "b2a3ec5ac516fcf4");
 }
 
 // --- Statistical baseline -------------------------------------------------------

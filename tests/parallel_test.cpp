@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstring>
 #include <numeric>
+#include <thread>
 
 namespace snowwhite {
 namespace {
@@ -291,6 +292,41 @@ TEST(Determinism, DatasetPipelineSplitsMatchAcrossThreadCounts) {
   EXPECT_EQ(AtOne.Train, AtFour.Train);
   EXPECT_EQ(AtOne.Valid, AtFour.Valid);
   EXPECT_EQ(AtOne.Test, AtFour.Test);
+}
+
+// --- Concurrent source encoding ---------------------------------------------
+
+TEST(Determinism, TaskEncodesSourceFromManyThreads) {
+  // The daemon shares one const Task across its workers, so its frozen
+  // word table and the merge-loop fallback must be safe to read at once.
+  frontend::CorpusSpec Spec;
+  Spec.NumPackages = 8;
+  Spec.Seed = 99;
+  frontend::Corpus Corpus = frontend::buildCorpus(Spec);
+  const dataset::Dataset Data = dataset::buildDataset(Corpus);
+  const model::Task T(Data, model::TaskOptions());
+
+  std::vector<std::vector<std::string>> Inputs;
+  for (const dataset::TypeSample &Sample : Data.Samples)
+    Inputs.push_back(Sample.Input);
+  Inputs.push_back({"never_seen_word", "", "i32.const", "\x7f"});
+  auto EncodeAll = [&] {
+    std::vector<std::vector<uint32_t>> Out;
+    for (const std::vector<std::string> &Input : Inputs)
+      Out.push_back(T.encodeSource(Input));
+    return Out;
+  };
+  // The threads run before any sequential call, so a cache filled on
+  // first use would be written concurrently here.
+  std::vector<std::vector<std::vector<uint32_t>>> PerThread(4);
+  std::vector<std::thread> Threads;
+  for (auto &Out : PerThread)
+    Threads.emplace_back([&] { Out = EncodeAll(); });
+  for (std::thread &Thread : Threads)
+    Thread.join();
+  const std::vector<std::vector<uint32_t>> Sequential = EncodeAll();
+  for (const auto &Out : PerThread)
+    EXPECT_EQ(Out, Sequential);
 }
 
 // --- Full training-loop determinism ------------------------------------------
