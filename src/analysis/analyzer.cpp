@@ -34,81 +34,8 @@ void noteWidth(uint8_t &Min, uint8_t &Max, unsigned Bytes) {
     Max = B;
 }
 
-bool isZeroExtLoad(Opcode Op) {
-  switch (Op) {
-  case Opcode::I32Load8U:
-  case Opcode::I32Load16U:
-  case Opcode::I64Load8U:
-  case Opcode::I64Load16U:
-  case Opcode::I64Load32U:
-    return true;
-  default:
-    return false;
-  }
-}
-
-enum class SignClass { None, SignedOp, UnsignedOp, SignedCmp, UnsignedCmp };
-
-/// Signedness signal of an instruction with respect to its *integer
-/// operands*. Only sign-suffixed operators that consume the value count;
-/// result-suffixed conversions (i32.trunc_f64_s consumes a float) do not.
-SignClass signClass(Opcode Op) {
-  switch (Op) {
-  case Opcode::I32DivS:
-  case Opcode::I32RemS:
-  case Opcode::I32ShrS:
-  case Opcode::I64DivS:
-  case Opcode::I64RemS:
-  case Opcode::I64ShrS:
-  case Opcode::I64ExtendI32S:
-  case Opcode::F32ConvertI32S:
-  case Opcode::F32ConvertI64S:
-  case Opcode::F64ConvertI32S:
-  case Opcode::F64ConvertI64S:
-  case Opcode::I32Extend8S:
-  case Opcode::I32Extend16S:
-  case Opcode::I64Extend8S:
-  case Opcode::I64Extend16S:
-  case Opcode::I64Extend32S:
-    return SignClass::SignedOp;
-  case Opcode::I32DivU:
-  case Opcode::I32RemU:
-  case Opcode::I32ShrU:
-  case Opcode::I64DivU:
-  case Opcode::I64RemU:
-  case Opcode::I64ShrU:
-  case Opcode::I64ExtendI32U:
-  case Opcode::F32ConvertI32U:
-  case Opcode::F32ConvertI64U:
-  case Opcode::F64ConvertI32U:
-  case Opcode::F64ConvertI64U:
-    return SignClass::UnsignedOp;
-  case Opcode::I32LtS:
-  case Opcode::I32GtS:
-  case Opcode::I32LeS:
-  case Opcode::I32GeS:
-  case Opcode::I64LtS:
-  case Opcode::I64GtS:
-  case Opcode::I64LeS:
-  case Opcode::I64GeS:
-    return SignClass::SignedCmp;
-  case Opcode::I32LtU:
-  case Opcode::I32GtU:
-  case Opcode::I32LeU:
-  case Opcode::I32GeU:
-  case Opcode::I64LtU:
-  case Opcode::I64GtU:
-  case Opcode::I64LeU:
-  case Opcode::I64GeU:
-    return SignClass::UnsignedCmp;
-  default:
-    return SignClass::None;
-  }
-}
-
-bool isFloatOp(Opcode Op) {
-  uint8_t Byte = opcodeByte(Op);
-  return (Byte >= 0x5b && Byte <= 0x66) || (Byte >= 0x8b && Byte <= 0xa6);
+bool isFloat(ValType Type) {
+  return Type == ValType::F32 || Type == ValType::F64;
 }
 
 /// A "parameter P escapes into call target T at argument position A" record
@@ -152,7 +79,7 @@ public:
     noteWidth(E->MinAccessBytes, E->MaxAccessBytes, Bytes);
     if (SignExtending)
       bump(E->SignExtLoads);
-    else if (isZeroExtLoad(I.Op))
+    else if (wasm::opcodeInfo(I.Op).Sign == wasm::OpSign::Unsigned)
       bump(E->ZeroExtLoads);
   }
 
@@ -252,31 +179,27 @@ private:
     return MustMask && CurIndex < MustMask->size() && (*MustMask)[CurIndex];
   }
 
+  /// Sign and float evidence from one operand of a numeric instruction (one
+  /// the evaluator reports through onUnary/onBinary).
   void noteNumeric(Opcode Op, const AbstractValue &Operand) {
     ParamEvidence *E = paramFor(Operand.Tag);
     if (!E)
       return;
-    switch (signClass(Op)) {
-    case SignClass::SignedOp:
-      bump(E->SignedOps);
-      if (onEveryPath())
-        bump(E->MustSignedOps);
-      break;
-    case SignClass::UnsignedOp:
-      bump(E->UnsignedOps);
-      if (onEveryPath())
-        bump(E->MustUnsignedOps);
-      break;
-    case SignClass::SignedCmp:
-      bump(E->SignedCmps);
-      break;
-    case SignClass::UnsignedCmp:
-      bump(E->UnsignedCmps);
-      break;
-    case SignClass::None:
-      break;
+    const wasm::OpcodeInfo &Info = wasm::opcodeInfo(Op);
+    bool FloatOperand = isFloat(Info.Operands[0]);
+    // The `_s`/`_u` suffix says how an integer operand is read; on a float
+    // operand (i32.trunc_f64_s) it only describes the result.
+    if (Info.Sign != wasm::OpSign::None && !FloatOperand) {
+      bool Signed = Info.Sign == wasm::OpSign::Signed;
+      if (Info.Class == wasm::OpClass::Compare) {
+        bump(Signed ? E->SignedCmps : E->UnsignedCmps);
+      } else {
+        bump(Signed ? E->SignedOps : E->UnsignedOps);
+        if (onEveryPath())
+          bump(Signed ? E->MustSignedOps : E->MustUnsignedOps);
+      }
     }
-    if (isFloatOp(Op))
+    if (FloatOperand && Info.Class != wasm::OpClass::Convert)
       bump(E->FloatOps);
   }
 

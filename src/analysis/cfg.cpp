@@ -14,7 +14,9 @@ namespace analysis {
 using wasm::Function;
 using wasm::Instr;
 using wasm::Module;
+using wasm::OpClass;
 using wasm::Opcode;
+using wasm::opcodeInfo;
 
 const char *edgeKindName(EdgeKind Kind) {
   switch (Kind) {
@@ -60,26 +62,6 @@ bool ControlFlowGraph::dominates(uint32_t A, uint32_t B) const {
 
 namespace {
 
-/// The opcodes that terminate or open basic blocks; everything else is
-/// straight-line.
-bool isControl(Opcode Op) {
-  switch (Op) {
-  case Opcode::Block:
-  case Opcode::Loop:
-  case Opcode::If:
-  case Opcode::Else:
-  case Opcode::End:
-  case Opcode::Br:
-  case Opcode::BrIf:
-  case Opcode::BrTable:
-  case Opcode::Return:
-  case Opcode::Unreachable:
-    return true;
-  default:
-    return false;
-  }
-}
-
 constexpr size_t NoEdge = std::numeric_limits<size_t>::max();
 
 /// One open control frame during the structural walk. Mirrors the
@@ -121,11 +103,11 @@ Result<ControlFlowGraph> buildCfg(const Module &M, uint32_t DefinedIndex) {
     BasicBlock B;
     B.Id = static_cast<uint32_t>(Cfg.Blocks.size());
     B.First = I;
-    if (isControl(Body[I].Op)) {
+    if (opcodeInfo(Body[I].Op).Class == OpClass::Control) {
       B.End = I + 1;
     } else {
       size_t J = I;
-      while (J < N && !isControl(Body[J].Op))
+      while (J < N && opcodeInfo(Body[J].Op).Class != OpClass::Control)
         ++J;
       B.End = J;
     }
@@ -182,7 +164,7 @@ Result<ControlFlowGraph> buildCfg(const Module &M, uint32_t DefinedIndex) {
       return Malformed("instruction after function body end");
     const size_t I = B.First;
     const Instr &Ins = Body[I];
-    if (!isControl(Ins.Op)) {
+    if (opcodeInfo(Ins.Op).Class != OpClass::Control) {
       if (B.End < N)
         addFallTo(BId, B.End, EdgeKind::Fall);
       continue;
@@ -279,7 +261,7 @@ Result<ControlFlowGraph> buildCfg(const Module &M, uint32_t DefinedIndex) {
       addEdge(BId, ExitId, EdgeKind::Unreachable, false);
       break;
     default:
-      break; // Unreachable: isControl covers exactly the cases above.
+      break; // Unreachable: the Control class is exactly the cases above.
     }
   }
   if (!Frames.empty())

@@ -55,54 +55,23 @@ ValueTag derivedTag(Origin Org, const ValueTag &A) {
   return Out;
 }
 
-struct LoadShape {
-  unsigned Bytes;
-  bool SignExtending;
-};
-
-LoadShape loadShape(Opcode Op) {
-  switch (Op) {
-  case Opcode::I32Load8S:
-    return {1, true};
-  case Opcode::I32Load8U:
-    return {1, false};
-  case Opcode::I32Load16S:
-    return {2, true};
-  case Opcode::I32Load16U:
-    return {2, false};
-  case Opcode::I64Load8S:
-    return {1, true};
-  case Opcode::I64Load8U:
-    return {1, false};
-  case Opcode::I64Load16S:
-    return {2, true};
-  case Opcode::I64Load16U:
-    return {2, false};
-  case Opcode::I64Load32S:
-    return {4, true};
-  case Opcode::I64Load32U:
-    return {4, false};
-  case Opcode::I64Load:
-  case Opcode::F64Load:
-    return {8, false};
-  default: // i32.load, f32.load
-    return {4, false};
-  }
-}
-
-unsigned storeBytes(Opcode Op) {
-  switch (Op) {
-  case Opcode::I32Store8:
-  case Opcode::I64Store8:
-    return 1;
-  case Opcode::I32Store16:
-  case Opcode::I64Store16:
-    return 2;
-  case Opcode::I64Store:
-  case Opcode::F64Store:
-    return 8;
-  default: // i32.store, f32.store, i64.store32
-    return 4;
+/// The origin of a Fixed instruction's result is its opcode-table class.
+Origin originOf(wasm::OpClass Class) {
+  switch (Class) {
+  case wasm::OpClass::Const:
+    return Origin::Const;
+  case wasm::OpClass::Load:
+    return Origin::Load;
+  case wasm::OpClass::MemQuery:
+    return Origin::MemQuery;
+  case wasm::OpClass::Compare:
+    return Origin::Compare;
+  case wasm::OpClass::Arith:
+    return Origin::Arith;
+  case wasm::OpClass::Convert:
+    return Origin::Convert;
+  default:
+    return Origin::Unknown;
   }
 }
 
@@ -157,13 +126,7 @@ private:
                    std::vector<AbstractValue> &Out);
   void noteReturnValues(uint64_t Depth,
                         const std::vector<AbstractValue> &Values);
-  Result<void> checkAlignment(const Instr &I, unsigned Bytes);
-  Result<void> checkLoad(const Instr &I, ValType Pushed);
-  Result<void> checkStore(const Instr &I, ValType Stored);
-  Result<void> checkUnary(const Instr &I, ValType In, ValType Out,
-                          Origin Org);
-  Result<void> checkBinary(const Instr &I, ValType In, ValType Out,
-                           Origin Org);
+  Result<void> checkFixed(const Instr &I, const wasm::OpcodeInfo &Info);
   Result<void> step(const Instr &I, size_t Index);
 
   const Module &M;
@@ -345,72 +308,40 @@ void Evaluator::noteReturnValues(uint64_t Depth,
     Sink->onReturn(Value);
 }
 
-/// Memarg alignment rule, mirroring the validator: the alignment exponent
-/// must not exceed log2(natural access width).
-Result<void> Evaluator::checkAlignment(const Instr &I, unsigned Bytes) {
-  unsigned MaxExp = 0;
-  for (; Bytes > 1; Bytes >>= 1)
-    ++MaxExp;
-  if (I.Imm1 > MaxExp)
-    return fail("alignment exceeds natural alignment");
-  return {};
-}
-
-Result<void> Evaluator::checkLoad(const Instr &I, ValType Pushed) {
-  if (M.Memories.empty())
-    return fail("memory access without memory");
-  if (Result<void> Status = checkAlignment(I, loadShape(I.Op).Bytes);
-      Status.isErr())
-    return Status;
-  AbstractValue Addr;
-  if (!popExpect(ValType::I32, Addr))
-    return fail("load address must be i32");
-  LoadShape Shape = loadShape(I.Op);
-  if (Sink && reachable())
-    Sink->onLoad(I, Addr, Shape.Bytes, Shape.SignExtending);
+/// Types an instruction with a fixed signature straight from its row of the
+/// opcode table, as the validator does, and reports it to the sink: loads
+/// and stores by address, other one- and two-operand instructions as
+/// numeric operations.
+Result<void> Evaluator::checkFixed(const Instr &I,
+                                   const wasm::OpcodeInfo &Info) {
+  if (std::optional<std::string> Error = wasm::fixedContextError(M, I, Info))
+    return fail(*Error);
+  AbstractValue Args[2];
+  for (unsigned Slot = Info.NumOperands; Slot-- > 0;)
+    if (!popExpect(Info.Operands[Slot], Args[Slot]))
+      return fail(wasm::operandMismatch(Info, Slot));
+  bool Observed = Sink && reachable();
   ValueTag Tag;
-  Tag.Org = Origin::Load;
-  Tag.OrgBytes = static_cast<uint8_t>(Shape.Bytes);
-  Tag.OrgSigned = Shape.SignExtending;
-  pushValue(Pushed, Tag);
-  return {};
-}
-
-Result<void> Evaluator::checkStore(const Instr &I, ValType Stored) {
-  if (M.Memories.empty())
-    return fail("memory access without memory");
-  if (Result<void> Status = checkAlignment(I, storeBytes(I.Op));
-      Status.isErr())
-    return Status;
-  AbstractValue Value, Addr;
-  if (!popExpect(Stored, Value))
-    return fail("store value type mismatch");
-  if (!popExpect(ValType::I32, Addr))
-    return fail("store address must be i32");
-  if (Sink && reachable())
-    Sink->onStore(I, Addr, Value, storeBytes(I.Op));
-  return {};
-}
-
-Result<void> Evaluator::checkUnary(const Instr &I, ValType In, ValType Out,
-                                   Origin Org) {
-  AbstractValue Operand;
-  if (!popExpect(In, Operand))
-    return fail("unary operand type mismatch");
-  if (Sink && reachable())
-    Sink->onUnary(I, Operand);
-  pushValue(Out, derivedTag(Org, Operand.Tag));
-  return {};
-}
-
-Result<void> Evaluator::checkBinary(const Instr &I, ValType In, ValType Out,
-                                    Origin Org) {
-  AbstractValue Rhs, Lhs;
-  if (!popExpect(In, Rhs) || !popExpect(In, Lhs))
-    return fail("binary operand type mismatch");
-  if (Sink && reachable())
-    Sink->onBinary(I, Lhs, Rhs);
-  pushValue(Out, derivedTag(Org, Lhs.Tag, Rhs.Tag));
+  Tag.Org = originOf(Info.Class);
+  if (Info.Class == wasm::OpClass::Load) {
+    Tag.OrgBytes = Info.AccessBytes;
+    Tag.OrgSigned = Info.Sign == wasm::OpSign::Signed;
+    if (Observed)
+      Sink->onLoad(I, Args[0], Info.AccessBytes, Tag.OrgSigned);
+  } else if (Info.Class == wasm::OpClass::Store) {
+    if (Observed)
+      Sink->onStore(I, Args[0], Args[1], Info.AccessBytes);
+  } else if (Info.NumOperands == 1) {
+    if (Observed)
+      Sink->onUnary(I, Args[0]);
+    Tag = derivedTag(Tag.Org, Args[0].Tag);
+  } else if (Info.NumOperands == 2) {
+    if (Observed)
+      Sink->onBinary(I, Args[0], Args[1]);
+    Tag = derivedTag(Tag.Org, Args[0].Tag, Args[1].Tag);
+  }
+  if (Info.HasResult)
+    pushValue(Info.Result, Tag);
   return {};
 }
 
@@ -422,38 +353,9 @@ Result<void> Evaluator::step(const Instr &I, size_t Index) {
   if (Sink)
     Sink->onInstr(Index, I, Stack, Frames.back().Unreachable);
 
-  uint8_t Byte = opcodeByte(I.Op);
-
-  // Numeric instruction groups by opcode byte range — the same dispatch
-  // table as the validator, so the two agree on every opcode's typing.
-  if (Byte == 0x45) // i32.eqz
-    return checkUnary(I, ValType::I32, ValType::I32, Origin::Compare);
-  if (Byte >= 0x46 && Byte <= 0x4f)
-    return checkBinary(I, ValType::I32, ValType::I32, Origin::Compare);
-  if (Byte == 0x50) // i64.eqz
-    return checkUnary(I, ValType::I64, ValType::I32, Origin::Compare);
-  if (Byte >= 0x51 && Byte <= 0x5a)
-    return checkBinary(I, ValType::I64, ValType::I32, Origin::Compare);
-  if (Byte >= 0x5b && Byte <= 0x60)
-    return checkBinary(I, ValType::F32, ValType::I32, Origin::Compare);
-  if (Byte >= 0x61 && Byte <= 0x66)
-    return checkBinary(I, ValType::F64, ValType::I32, Origin::Compare);
-  if (Byte >= 0x67 && Byte <= 0x69)
-    return checkUnary(I, ValType::I32, ValType::I32, Origin::Arith);
-  if (Byte >= 0x6a && Byte <= 0x78)
-    return checkBinary(I, ValType::I32, ValType::I32, Origin::Arith);
-  if (Byte >= 0x79 && Byte <= 0x7b)
-    return checkUnary(I, ValType::I64, ValType::I64, Origin::Arith);
-  if (Byte >= 0x7c && Byte <= 0x8a)
-    return checkBinary(I, ValType::I64, ValType::I64, Origin::Arith);
-  if (Byte >= 0x8b && Byte <= 0x91)
-    return checkUnary(I, ValType::F32, ValType::F32, Origin::Arith);
-  if (Byte >= 0x92 && Byte <= 0x98)
-    return checkBinary(I, ValType::F32, ValType::F32, Origin::Arith);
-  if (Byte >= 0x99 && Byte <= 0x9f)
-    return checkUnary(I, ValType::F64, ValType::F64, Origin::Arith);
-  if (Byte >= 0xa0 && Byte <= 0xa6)
-    return checkBinary(I, ValType::F64, ValType::F64, Origin::Arith);
+  const wasm::OpcodeInfo &Info = wasm::opcodeInfo(I.Op);
+  if (Info.Fixed)
+    return checkFixed(I, Info);
 
   switch (I.Op) {
   case Opcode::Unreachable:
@@ -780,127 +682,6 @@ Result<void> Evaluator::step(const Instr &I, size_t Index) {
       return fail("global.set type mismatch");
     return {};
   }
-
-  case Opcode::I32Load:
-  case Opcode::I32Load8S:
-  case Opcode::I32Load8U:
-  case Opcode::I32Load16S:
-  case Opcode::I32Load16U:
-    return checkLoad(I, ValType::I32);
-  case Opcode::I64Load:
-  case Opcode::I64Load8S:
-  case Opcode::I64Load8U:
-  case Opcode::I64Load16S:
-  case Opcode::I64Load16U:
-  case Opcode::I64Load32S:
-  case Opcode::I64Load32U:
-    return checkLoad(I, ValType::I64);
-  case Opcode::F32Load:
-    return checkLoad(I, ValType::F32);
-  case Opcode::F64Load:
-    return checkLoad(I, ValType::F64);
-
-  case Opcode::I32Store:
-  case Opcode::I32Store8:
-  case Opcode::I32Store16:
-    return checkStore(I, ValType::I32);
-  case Opcode::I64Store:
-  case Opcode::I64Store8:
-  case Opcode::I64Store16:
-  case Opcode::I64Store32:
-    return checkStore(I, ValType::I64);
-  case Opcode::F32Store:
-    return checkStore(I, ValType::F32);
-  case Opcode::F64Store:
-    return checkStore(I, ValType::F64);
-
-  case Opcode::MemorySize: {
-    if (M.Memories.empty())
-      return fail("memory.size without memory");
-    ValueTag Tag;
-    Tag.Org = Origin::MemQuery;
-    pushValue(ValType::I32, Tag);
-    return {};
-  }
-  case Opcode::MemoryGrow:
-    if (M.Memories.empty())
-      return fail("memory.grow without memory");
-    return checkUnary(I, ValType::I32, ValType::I32, Origin::MemQuery);
-
-  case Opcode::I32Const: {
-    ValueTag Tag;
-    Tag.Org = Origin::Const;
-    pushValue(ValType::I32, Tag);
-    return {};
-  }
-  case Opcode::I64Const: {
-    ValueTag Tag;
-    Tag.Org = Origin::Const;
-    pushValue(ValType::I64, Tag);
-    return {};
-  }
-  case Opcode::F32Const: {
-    ValueTag Tag;
-    Tag.Org = Origin::Const;
-    pushValue(ValType::F32, Tag);
-    return {};
-  }
-  case Opcode::F64Const: {
-    ValueTag Tag;
-    Tag.Org = Origin::Const;
-    pushValue(ValType::F64, Tag);
-    return {};
-  }
-
-  // Conversions.
-  case Opcode::I32WrapI64:
-    return checkUnary(I, ValType::I64, ValType::I32, Origin::Convert);
-  case Opcode::I32TruncF32S:
-  case Opcode::I32TruncF32U:
-    return checkUnary(I, ValType::F32, ValType::I32, Origin::Convert);
-  case Opcode::I32TruncF64S:
-  case Opcode::I32TruncF64U:
-    return checkUnary(I, ValType::F64, ValType::I32, Origin::Convert);
-  case Opcode::I64ExtendI32S:
-  case Opcode::I64ExtendI32U:
-    return checkUnary(I, ValType::I32, ValType::I64, Origin::Convert);
-  case Opcode::I64TruncF32S:
-  case Opcode::I64TruncF32U:
-    return checkUnary(I, ValType::F32, ValType::I64, Origin::Convert);
-  case Opcode::I64TruncF64S:
-  case Opcode::I64TruncF64U:
-    return checkUnary(I, ValType::F64, ValType::I64, Origin::Convert);
-  case Opcode::F32ConvertI32S:
-  case Opcode::F32ConvertI32U:
-    return checkUnary(I, ValType::I32, ValType::F32, Origin::Convert);
-  case Opcode::F32ConvertI64S:
-  case Opcode::F32ConvertI64U:
-    return checkUnary(I, ValType::I64, ValType::F32, Origin::Convert);
-  case Opcode::F32DemoteF64:
-    return checkUnary(I, ValType::F64, ValType::F32, Origin::Convert);
-  case Opcode::F64ConvertI32S:
-  case Opcode::F64ConvertI32U:
-    return checkUnary(I, ValType::I32, ValType::F64, Origin::Convert);
-  case Opcode::F64ConvertI64S:
-  case Opcode::F64ConvertI64U:
-    return checkUnary(I, ValType::I64, ValType::F64, Origin::Convert);
-  case Opcode::F64PromoteF32:
-    return checkUnary(I, ValType::F32, ValType::F64, Origin::Convert);
-  case Opcode::I32ReinterpretF32:
-    return checkUnary(I, ValType::F32, ValType::I32, Origin::Convert);
-  case Opcode::I64ReinterpretF64:
-    return checkUnary(I, ValType::F64, ValType::I64, Origin::Convert);
-  case Opcode::F32ReinterpretI32:
-    return checkUnary(I, ValType::I32, ValType::F32, Origin::Convert);
-  case Opcode::F64ReinterpretI64:
-    return checkUnary(I, ValType::I64, ValType::F64, Origin::Convert);
-  case Opcode::I32Extend8S:
-  case Opcode::I32Extend16S:
-    return checkUnary(I, ValType::I32, ValType::I32, Origin::Convert);
-  case Opcode::I64Extend8S:
-  case Opcode::I64Extend16S:
-  case Opcode::I64Extend32S:
-    return checkUnary(I, ValType::I64, ValType::I64, Origin::Convert);
 
   default:
     return fail(std::string("unhandled opcode ") + opcodeName(I.Op) +

@@ -1,16 +1,19 @@
 //===- analysis/stack_eval.h - Typed-stack abstract interpreter -----------===//
 //
-// A second, independent implementation of the WebAssembly function-body
-// typing algorithm ("validator v2") that doubles as an abstract interpreter:
-// next to the exact operand-stack *type* state of the spec validation
-// algorithm — including stack-polymorphic typing below `unreachable` — every
-// stack slot carries a ValueTag describing where the value came from
-// (parameter provenance and producing-instruction category).
+// The abstract-interpreter engine of the WebAssembly function-body typing
+// algorithm: next to the exact operand-stack *type* state of the spec
+// validation algorithm — including stack-polymorphic typing below
+// `unreachable` — every stack slot carries a ValueTag describing where the
+// value came from (parameter provenance and producing-instruction category).
 //
-// The accept/reject verdict of evaluateFunction is intentionally equivalent
-// to wasm::validateFunction; the fuzz harness and the analysis test suite
-// cross-check the two on every input, so each implementation is the other's
-// oracle. On top of the spec algorithm the evaluator adds:
+// It shares one opcode table (wasm/opcodes.def) with wasm::validateFunction:
+// every opcode with a fixed signature is typed by one generic arm reading
+// the table, and its result tag's Origin is the table's class. Only the
+// context-dependent opcodes (control, calls, locals, globals, nop, drop,
+// select) are typed by hand here, because this engine also tracks tag joins
+// there. The accept/reject verdict is intentionally equivalent to the
+// validator's; the fuzz harness and the analysis test suite cross-check the
+// two on every input. On top of the spec algorithm the evaluator adds:
 //
 //  * flow-sensitive local tags: `local.set`/`local.tee` strongly update the
 //    tag of the written local, `if`/`else`/`end` joins merge the tags of all

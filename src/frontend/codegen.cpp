@@ -222,19 +222,6 @@ Opcode storeOpcodeFor(SrcPrimKind K) {
   return Opcode::I32Store;
 }
 
-ValType valTypeOfLoad(Opcode Load) {
-  switch (Load) {
-  case Opcode::I64Load:
-    return ValType::I64;
-  case Opcode::F32Load:
-    return ValType::F32;
-  case Opcode::F64Load:
-    return ValType::F64;
-  default:
-    return ValType::I32;
-  }
-}
-
 /// Compiles one SrcFunction body.
 class FunctionCompiler {
 public:
@@ -464,15 +451,14 @@ void FunctionCompiler::emitAggregateAccess(uint32_t Local,
       // 'pointer struct' from 'pointer const struct'.
       Opcode Store = storeOpcodeFor(Prim);
       emit(Instr::localGet(Local));
-      ValType StoredType = valTypeOfLoad(loadOpcodeFor(Prim));
-      emitConstOf(StoredType);
+      emitConstOf(wasm::opcodeInfo(Store).Operands[1]);
       emit(Instr::store(Store, Offset, 0));
       DidStore = true;
     } else {
       Opcode Load = loadOpcodeFor(Prim);
       emit(Instr::localGet(Local));
       emit(Instr::load(Load, Offset, 0));
-      consumeTop(valTypeOfLoad(Load));
+      consumeTop(wasm::opcodeInfo(Load).Result);
     }
   }
 
@@ -804,11 +790,11 @@ void FunctionCompiler::emitPointerUsage(uint32_t Local,
                          primByteSize(Pointee.Prim) *
                              static_cast<uint32_t>(R.nextBelow(3)),
                          0));
-        consumeTop(valTypeOfLoad(Load));
+        consumeTop(wasm::opcodeInfo(Load).Result);
         if (!Traits.PointeeConst && R.nextBool(0.55)) {
           // Out-parameter write-back.
           emit(Instr::localGet(Local));
-          emitConstOf(valTypeOfLoad(Load));
+          emitConstOf(wasm::opcodeInfo(Load).Result);
           emit(Instr::store(storeOpcodeFor(Pointee.Prim), 0, 0));
         }
       }
@@ -843,7 +829,7 @@ void FunctionCompiler::emitPointerUsage(uint32_t Local,
                           : Opcode::I32Load;
         emit(Instr::localGet(Inner));
         emit(Instr::load(Load, 0, 0));
-        consumeTop(valTypeOfLoad(Load));
+        consumeTop(wasm::opcodeInfo(Load).Result);
       }
       if (!Traits.PointeeConst && R.nextBool(0.4)) {
         // Write a fresh pointer back (realloc-style out param).
@@ -893,7 +879,7 @@ void FunctionCompiler::emitArrayUsage(uint32_t Local,
   emit(Instr(Opcode::I32Add));
   emit(Instr::load(Load, ElementSize * static_cast<uint32_t>(R.nextBelow(2)),
                    0));
-  consumeTop(valTypeOfLoad(Load));
+  consumeTop(wasm::opcodeInfo(Load).Result);
 }
 
 void FunctionCompiler::emitFuncPtrUsage(uint32_t Local,

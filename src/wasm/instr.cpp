@@ -3,6 +3,7 @@
 #include <array>
 #include <cassert>
 #include <cstring>
+#include <string_view>
 
 namespace snowwhite {
 namespace wasm {
@@ -58,29 +59,48 @@ const char *valTypeName(ValType Type) {
 
 namespace {
 
-struct OpcodeInfo {
-  const char *Name;
-  uint8_t Byte;
-  ImmKind Imm;
-};
+/// A type slot of opcodes.def: a value type, absent, or context-dependent.
+enum class Slot : uint8_t { I32, I64, F32, F64, None, Dyn };
 
-const OpcodeInfo OpcodeTable[NumOpcodes] = {
-#define WASM_OPCODE(Name, Wat, Byte, Imm) {Wat, Byte, ImmKind::Imm},
+constexpr OpSign signOf(std::string_view Wat) {
+  if (Wat.ends_with("_s"))
+    return OpSign::Signed;
+  if (Wat.ends_with("_u"))
+    return OpSign::Unsigned;
+  return OpSign::None;
+}
+
+constexpr OpcodeInfo makeInfo(const char *Wat, uint8_t Byte, ImmKind Imm,
+                              OpClass Class, Slot Arg0, Slot Arg1,
+                              Slot Result, uint8_t Bytes) {
+  OpcodeInfo Info{Wat,   Byte, Imm, Class, false, 0, {}, false, ValType::I32,
+                  Bytes, signOf(Wat)};
+  Info.Fixed = Arg0 != Slot::Dyn && Arg1 != Slot::Dyn && Result != Slot::Dyn;
+  if (!Info.Fixed)
+    return Info;
+  for (Slot Arg : {Arg0, Arg1})
+    if (Arg != Slot::None)
+      Info.Operands[Info.NumOperands++] = static_cast<ValType>(Arg);
+  Info.HasResult = Result != Slot::None;
+  if (Info.HasResult)
+    Info.Result = static_cast<ValType>(Result);
+  return Info;
+}
+
+static_assert(static_cast<ValType>(Slot::F64) == ValType::F64,
+              "Slot's value types must line up with ValType");
+
+constexpr OpcodeInfo OpcodeTable[NumOpcodes] = {
+#define WASM_OPCODE(Name, Wat, Byte, Imm, Class, Arg0, Arg1, Result, Bytes)   \
+  makeInfo(Wat, Byte, ImmKind::Imm, OpClass::Class, Slot::Arg0, Slot::Arg1,   \
+           Slot::Result, Bytes),
 #include "wasm/opcodes.def"
 };
 
 } // namespace
 
-const char *opcodeName(Opcode Op) {
-  return OpcodeTable[static_cast<unsigned>(Op)].Name;
-}
-
-uint8_t opcodeByte(Opcode Op) {
-  return OpcodeTable[static_cast<unsigned>(Op)].Byte;
-}
-
-ImmKind opcodeImmKind(Opcode Op) {
-  return OpcodeTable[static_cast<unsigned>(Op)].Imm;
+const OpcodeInfo &opcodeInfo(Opcode Op) {
+  return OpcodeTable[static_cast<unsigned>(Op)];
 }
 
 bool opcodeFromByte(uint8_t Byte, Opcode &Op) {

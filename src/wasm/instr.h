@@ -14,7 +14,8 @@ namespace wasm {
 
 /// All opcodes from opcodes.def.
 enum class Opcode : uint16_t {
-#define WASM_OPCODE(Name, Wat, Byte, Imm) Name,
+#define WASM_OPCODE(Name, Wat, Byte, Imm, Class, Arg0, Arg1, Result, Bytes)   \
+  Name,
 #include "wasm/opcodes.def"
 };
 
@@ -38,18 +39,54 @@ enum class ImmKind : uint8_t {
 
 /// Number of opcodes in the table.
 constexpr unsigned NumOpcodes = 0
-#define WASM_OPCODE(Name, Wat, Byte, Imm) +1
+#define WASM_OPCODE(Name, Wat, Byte, Imm, Class, Arg0, Arg1, Result, Bytes)   \
+  +1
 #include "wasm/opcodes.def"
     ;
 
-/// Returns the text-format mnemonic of Op, e.g. "i32.const".
-const char *opcodeName(Opcode Op);
+/// What an opcode does, for typing and analysis (opcodes.def's Class).
+enum class OpClass : uint8_t {
+  Control,    ///< Opens, closes or leaves a block; ends a basic block.
+  Call,       ///< call, call_indirect.
+  Variable,   ///< local.* and global.*.
+  Parametric, ///< nop, drop, select: move values, compute nothing.
+  Const,      ///< *.const.
+  Load,       ///< Memory load.
+  Store,      ///< Memory store.
+  MemQuery,   ///< memory.size, memory.grow.
+  Compare,    ///< Comparison or eqz (an i32 0/1).
+  Arith,      ///< Numeric arithmetic or bitwise operation.
+  Convert,    ///< Conversion, extension, or reinterpretation.
+};
 
-/// Returns the binary-format byte of Op.
-uint8_t opcodeByte(Opcode Op);
+/// The `_s`/`_u` suffix of a mnemonic (the spec's sx).
+enum class OpSign : uint8_t { None, Signed, Unsigned };
 
-/// Returns the immediate kind of Op.
-ImmKind opcodeImmKind(Opcode Op);
+/// One row of opcodes.def. When Fixed, the opcode is typed
+/// [Operands[0..NumOperands)] -> [Result if HasResult] whatever its
+/// immediates and context; otherwise (Control, Call, Variable, Parametric)
+/// the typing fields are unset.
+struct OpcodeInfo {
+  const char *Name; ///< Text-format mnemonic, e.g. "i32.const".
+  uint8_t Byte;     ///< Binary-format byte.
+  ImmKind Imm;
+  OpClass Class;
+  bool Fixed;
+  uint8_t NumOperands;
+  ValType Operands[2]; ///< In push order: Operands[0] is the deepest.
+  bool HasResult;
+  ValType Result;
+  uint8_t AccessBytes; ///< Width of a load or store; 0 otherwise.
+  OpSign Sign;
+};
+
+/// Returns Op's row of opcodes.def.
+const OpcodeInfo &opcodeInfo(Opcode Op);
+
+/// Shorthands for opcodeInfo(Op).Name, .Byte and .Imm.
+inline const char *opcodeName(Opcode Op) { return opcodeInfo(Op).Name; }
+inline uint8_t opcodeByte(Opcode Op) { return opcodeInfo(Op).Byte; }
+inline ImmKind opcodeImmKind(Opcode Op) { return opcodeInfo(Op).Imm; }
 
 /// Decodes an opcode byte. Returns false for bytes outside the table.
 bool opcodeFromByte(uint8_t Byte, Opcode &Op);

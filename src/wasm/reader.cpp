@@ -46,6 +46,13 @@ public:
     return true;
   }
 
+  /// The reserved memory/table index byte of WebAssembly 1.0: exactly 0x00,
+  /// with no longer LEB128 spelling.
+  bool readReservedZero() {
+    uint8_t Byte;
+    return readByte(Byte) && Byte == 0x00;
+  }
+
   bool readU32(uint32_t &Out) {
     uint64_t Wide;
     if (!readU64(Wide) || Wide > UINT32_MAX)
@@ -127,8 +134,9 @@ bool readInstrAt(Cursor &C, Instr &Out) {
   case ImmKind::Func:
   case ImmKind::Local:
   case ImmKind::Global:
-  case ImmKind::MemIdx:
     return C.readU64(Out.Imm0);
+  case ImmKind::MemIdx:
+    return C.readReservedZero();
   case ImmKind::BrTable: {
     uint32_t Count;
     if (!C.readU32(Count))
@@ -144,9 +152,15 @@ bool readInstrAt(Cursor &C, Instr &Out) {
     return C.readU64(Out.Imm0);
   }
   case ImmKind::CallIndirect:
-    return C.readU64(Out.Imm0) && C.readU64(Out.Imm1);
-  case ImmKind::Mem:
-    return C.readU64(Out.Imm1) && C.readU64(Out.Imm0);
+    return C.readU64(Out.Imm0) && C.readReservedZero();
+  case ImmKind::Mem: {
+    uint32_t Align, Offset;
+    if (!C.readU32(Align) || !C.readU32(Offset))
+      return false;
+    Out.Imm1 = Align;
+    Out.Imm0 = Offset;
+    return true;
+  }
   case ImmKind::I32: {
     int64_t Value;
     if (!C.readS64(Value))

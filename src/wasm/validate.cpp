@@ -117,78 +117,16 @@ private:
     return Locals[static_cast<size_t>(Index)];
   }
 
-  /// Natural access width (bytes) of a load/store opcode, for the memarg
-  /// alignment rule: the alignment exponent must not exceed log2(width).
-  /// Found by the analysis-subsystem audit: previously unchecked.
-  static unsigned accessBytes(Opcode Op) {
-    switch (Op) {
-    case Opcode::I32Load8S:
-    case Opcode::I32Load8U:
-    case Opcode::I64Load8S:
-    case Opcode::I64Load8U:
-    case Opcode::I32Store8:
-    case Opcode::I64Store8:
-      return 1;
-    case Opcode::I32Load16S:
-    case Opcode::I32Load16U:
-    case Opcode::I64Load16S:
-    case Opcode::I64Load16U:
-    case Opcode::I32Store16:
-    case Opcode::I64Store16:
-      return 2;
-    case Opcode::I64Load:
-    case Opcode::F64Load:
-    case Opcode::I64Store:
-    case Opcode::F64Store:
-      return 8;
-    default: // 32-bit loads/stores and i64.load32/store32.
-      return 4;
-    }
-  }
-
-  Result<void> checkAlignment(const Instr &I) {
-    unsigned MaxExp = 0;
-    for (unsigned Bytes = accessBytes(I.Op); Bytes > 1; Bytes >>= 1)
-      ++MaxExp;
-    if (I.Imm1 > MaxExp)
-      return fail("alignment exceeds natural alignment");
-    return {};
-  }
-
-  Result<void> checkLoad(const Instr &I, ValType Pushed) {
-    if (M.Memories.empty())
-      return fail("memory access without memory");
-    if (Result<void> Status = checkAlignment(I); Status.isErr())
-      return Status;
-    if (!popExpect(ValType::I32))
-      return fail("load address must be i32");
-    pushValue(Pushed);
-    return {};
-  }
-
-  Result<void> checkStore(const Instr &I, ValType Stored) {
-    if (M.Memories.empty())
-      return fail("memory access without memory");
-    if (Result<void> Status = checkAlignment(I); Status.isErr())
-      return Status;
-    if (!popExpect(Stored))
-      return fail("store value type mismatch");
-    if (!popExpect(ValType::I32))
-      return fail("store address must be i32");
-    return {};
-  }
-
-  Result<void> checkUnary(ValType In, ValType Out) {
-    if (!popExpect(In))
-      return fail("unary operand type mismatch");
-    pushValue(Out);
-    return {};
-  }
-
-  Result<void> checkBinary(ValType In, ValType Out) {
-    if (!popExpect(In) || !popExpect(In))
-      return fail("binary operand type mismatch");
-    pushValue(Out);
+  /// Types an instruction with a fixed signature straight from its row of
+  /// the opcode table.
+  Result<void> checkFixed(const Instr &I, const OpcodeInfo &Info) {
+    if (std::optional<std::string> Error = fixedContextError(M, I, Info))
+      return fail(*Error);
+    for (unsigned Slot = Info.NumOperands; Slot-- > 0;)
+      if (!popExpect(Info.Operands[Slot]))
+        return fail(operandMismatch(Info, Slot));
+    if (Info.HasResult)
+      pushValue(Info.Result);
     return {};
   }
 
@@ -208,37 +146,9 @@ Result<void> Validator::step(const Instr &I, size_t Index) {
   if (Frames.empty())
     return fail("instruction after function body end");
 
-  uint8_t Byte = opcodeByte(I.Op);
-
-  // Numeric instruction groups by opcode byte range.
-  if (Byte == 0x45) // i32.eqz
-    return checkUnary(ValType::I32, ValType::I32);
-  if (Byte >= 0x46 && Byte <= 0x4f)
-    return checkBinary(ValType::I32, ValType::I32);
-  if (Byte == 0x50) // i64.eqz
-    return checkUnary(ValType::I64, ValType::I32);
-  if (Byte >= 0x51 && Byte <= 0x5a)
-    return checkBinary(ValType::I64, ValType::I32);
-  if (Byte >= 0x5b && Byte <= 0x60)
-    return checkBinary(ValType::F32, ValType::I32);
-  if (Byte >= 0x61 && Byte <= 0x66)
-    return checkBinary(ValType::F64, ValType::I32);
-  if (Byte >= 0x67 && Byte <= 0x69)
-    return checkUnary(ValType::I32, ValType::I32);
-  if (Byte >= 0x6a && Byte <= 0x78)
-    return checkBinary(ValType::I32, ValType::I32);
-  if (Byte >= 0x79 && Byte <= 0x7b)
-    return checkUnary(ValType::I64, ValType::I64);
-  if (Byte >= 0x7c && Byte <= 0x8a)
-    return checkBinary(ValType::I64, ValType::I64);
-  if (Byte >= 0x8b && Byte <= 0x91)
-    return checkUnary(ValType::F32, ValType::F32);
-  if (Byte >= 0x92 && Byte <= 0x98)
-    return checkBinary(ValType::F32, ValType::F32);
-  if (Byte >= 0x99 && Byte <= 0x9f)
-    return checkUnary(ValType::F64, ValType::F64);
-  if (Byte >= 0xa0 && Byte <= 0xa6)
-    return checkBinary(ValType::F64, ValType::F64);
+  const OpcodeInfo &Info = opcodeInfo(I.Op);
+  if (Info.Fixed)
+    return checkFixed(I, Info);
 
   switch (I.Op) {
   case Opcode::Unreachable:
@@ -273,7 +183,7 @@ Result<void> Validator::step(const Instr &I, size_t Index) {
     return {};
   }
   case Opcode::Else: {
-    if (Frames.empty() || Frames.back().Kind != Opcode::If)
+    if (Frames.back().Kind != Opcode::If)
       return fail("else without if");
     ControlFrame Frame = Frames.back();
     // The then-branch must produce the frame results.
@@ -288,8 +198,6 @@ Result<void> Validator::step(const Instr &I, size_t Index) {
     return {};
   }
   case Opcode::End: {
-    if (Frames.empty())
-      return fail("end without open frame");
     ControlFrame Frame = Frames.back();
     if (Frame.Kind == Opcode::If && !Frame.Results.empty())
       return fail("if with result requires else");
@@ -446,112 +354,6 @@ Result<void> Validator::step(const Instr &I, size_t Index) {
     return {};
   }
 
-  case Opcode::I32Load:
-  case Opcode::I32Load8S:
-  case Opcode::I32Load8U:
-  case Opcode::I32Load16S:
-  case Opcode::I32Load16U:
-    return checkLoad(I, ValType::I32);
-  case Opcode::I64Load:
-  case Opcode::I64Load8S:
-  case Opcode::I64Load8U:
-  case Opcode::I64Load16S:
-  case Opcode::I64Load16U:
-  case Opcode::I64Load32S:
-  case Opcode::I64Load32U:
-    return checkLoad(I, ValType::I64);
-  case Opcode::F32Load:
-    return checkLoad(I, ValType::F32);
-  case Opcode::F64Load:
-    return checkLoad(I, ValType::F64);
-
-  case Opcode::I32Store:
-  case Opcode::I32Store8:
-  case Opcode::I32Store16:
-    return checkStore(I, ValType::I32);
-  case Opcode::I64Store:
-  case Opcode::I64Store8:
-  case Opcode::I64Store16:
-  case Opcode::I64Store32:
-    return checkStore(I, ValType::I64);
-  case Opcode::F32Store:
-    return checkStore(I, ValType::F32);
-  case Opcode::F64Store:
-    return checkStore(I, ValType::F64);
-
-  case Opcode::MemorySize:
-    if (M.Memories.empty())
-      return fail("memory.size without memory");
-    pushValue(ValType::I32);
-    return {};
-  case Opcode::MemoryGrow:
-    if (M.Memories.empty())
-      return fail("memory.grow without memory");
-    return checkUnary(ValType::I32, ValType::I32);
-
-  case Opcode::I32Const:
-    pushValue(ValType::I32);
-    return {};
-  case Opcode::I64Const:
-    pushValue(ValType::I64);
-    return {};
-  case Opcode::F32Const:
-    pushValue(ValType::F32);
-    return {};
-  case Opcode::F64Const:
-    pushValue(ValType::F64);
-    return {};
-
-  // Conversions.
-  case Opcode::I32WrapI64:
-    return checkUnary(ValType::I64, ValType::I32);
-  case Opcode::I32TruncF32S:
-  case Opcode::I32TruncF32U:
-    return checkUnary(ValType::F32, ValType::I32);
-  case Opcode::I32TruncF64S:
-  case Opcode::I32TruncF64U:
-    return checkUnary(ValType::F64, ValType::I32);
-  case Opcode::I64ExtendI32S:
-  case Opcode::I64ExtendI32U:
-    return checkUnary(ValType::I32, ValType::I64);
-  case Opcode::I64TruncF32S:
-  case Opcode::I64TruncF32U:
-    return checkUnary(ValType::F32, ValType::I64);
-  case Opcode::I64TruncF64S:
-  case Opcode::I64TruncF64U:
-    return checkUnary(ValType::F64, ValType::I64);
-  case Opcode::F32ConvertI32S:
-  case Opcode::F32ConvertI32U:
-    return checkUnary(ValType::I32, ValType::F32);
-  case Opcode::F32ConvertI64S:
-  case Opcode::F32ConvertI64U:
-    return checkUnary(ValType::I64, ValType::F32);
-  case Opcode::F32DemoteF64:
-    return checkUnary(ValType::F64, ValType::F32);
-  case Opcode::F64ConvertI32S:
-  case Opcode::F64ConvertI32U:
-    return checkUnary(ValType::I32, ValType::F64);
-  case Opcode::F64ConvertI64S:
-  case Opcode::F64ConvertI64U:
-    return checkUnary(ValType::I64, ValType::F64);
-  case Opcode::F64PromoteF32:
-    return checkUnary(ValType::F32, ValType::F64);
-  case Opcode::I32ReinterpretF32:
-    return checkUnary(ValType::F32, ValType::I32);
-  case Opcode::I64ReinterpretF64:
-    return checkUnary(ValType::F64, ValType::I64);
-  case Opcode::F32ReinterpretI32:
-    return checkUnary(ValType::I32, ValType::F32);
-  case Opcode::F64ReinterpretI64:
-    return checkUnary(ValType::I64, ValType::F64);
-  case Opcode::I32Extend8S:
-  case Opcode::I32Extend16S:
-    return checkUnary(ValType::I32, ValType::I32);
-  case Opcode::I64Extend8S:
-  case Opcode::I64Extend16S:
-  case Opcode::I64Extend32S:
-    return checkUnary(ValType::I64, ValType::I64);
-
   default:
     return fail(std::string("unhandled opcode ") + opcodeName(I.Op) +
                 " at instruction " + std::to_string(Index));
@@ -559,6 +361,41 @@ Result<void> Validator::step(const Instr &I, size_t Index) {
 }
 
 } // namespace
+
+std::optional<std::string> fixedContextError(const Module &M, const Instr &I,
+                                             const OpcodeInfo &Info) {
+  switch (Info.Class) {
+  case OpClass::MemQuery:
+    if (M.Memories.empty())
+      return std::string(Info.Name) + " without memory";
+    return std::nullopt;
+  case OpClass::Load:
+  case OpClass::Store: {
+    if (M.Memories.empty())
+      return "memory access without memory";
+    unsigned MaxExp = 0;
+    for (unsigned Bytes = Info.AccessBytes; Bytes > 1; Bytes >>= 1)
+      ++MaxExp;
+    if (I.Imm1 > MaxExp)
+      return "alignment exceeds natural alignment";
+    return std::nullopt;
+  }
+  default:
+    return std::nullopt;
+  }
+}
+
+const char *operandMismatch(const OpcodeInfo &Info, unsigned Slot) {
+  switch (Info.Class) {
+  case OpClass::Load:
+    return "load address must be i32";
+  case OpClass::Store:
+    return Slot == 0 ? "store address must be i32" : "store value type mismatch";
+  default:
+    return Info.NumOperands == 1 ? "unary operand type mismatch"
+                                 : "binary operand type mismatch";
+  }
+}
 
 Result<void> validateFunction(const Module &M, uint32_t DefinedIndex) {
   if (DefinedIndex >= M.Functions.size())
@@ -597,28 +434,13 @@ Result<void> validateModule(const Module &M) {
       return Error(ErrorCode::Malformed,
                    "validation: memory minimum exceeds maximum");
   for (const GlobalDecl &Global : M.Globals) {
-    ImmKind Imm = opcodeImmKind(Global.Init.Op);
-    ValType InitType;
-    switch (Imm) {
-    case ImmKind::I32:
-      InitType = ValType::I32;
-      break;
-    case ImmKind::I64:
-      InitType = ValType::I64;
-      break;
-    case ImmKind::F32:
-      InitType = ValType::F32;
-      break;
-    case ImmKind::F64:
-      InitType = ValType::F64;
-      break;
-    default:
+    const OpcodeInfo &Init = opcodeInfo(Global.Init.Op);
+    if (Init.Class != OpClass::Const)
       return Error(ErrorCode::Malformed,
                    "validation: global initializer must be a constant");
-    }
     // Spec 3.4.4: the initializer's type must match the declared type.
     // Found by the analysis-subsystem audit: previously unchecked.
-    if (InitType != Global.Type)
+    if (Init.Result != Global.Type)
       return Error(ErrorCode::Malformed,
                    "validation: global initializer type mismatch");
   }

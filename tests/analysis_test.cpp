@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -177,6 +178,167 @@ TEST(StackEval, AgreesWithValidatorOnHandWrittenBodies) {
         << C.Name << ": evaluator disagreed ("
         << (Evaluated.isOk() ? "ok" : Evaluated.error().message()) << ")";
   }
+}
+
+// --- Spec-derived typing of every fixed-signature opcode ---------------------
+
+/// A [Params] -> [Results] instruction type.
+struct SpecSig {
+  std::vector<ValType> Params;
+  std::vector<ValType> Results;
+  bool operator==(const SpecSig &Other) const = default;
+};
+
+std::optional<ValType> valTypeNamed(const std::string &Name) {
+  for (ValType T : {ValType::I32, ValType::I64, ValType::F32, ValType::F64})
+    if (Name == wasm::valTypeName(T))
+      return T;
+  return std::nullopt;
+}
+
+bool oneOf(const std::string &Op, std::initializer_list<const char *> Names) {
+  for (const char *Name : Names)
+    if (Op == Name)
+      return true;
+  return false;
+}
+
+/// The type of a numeric, memory or constant instruction, derived from its
+/// mnemonic with the operator name lists and typing rules of the
+/// WebAssembly spec (sections 2.4 and 3.3) and nothing from opcodes.def.
+/// nullopt for instructions whose typing depends on context.
+std::optional<SpecSig> specSignature(const std::string &Mnemonic) {
+  size_t Dot = Mnemonic.find('.');
+  if (Dot == std::string::npos)
+    return std::nullopt;
+  std::string Prefix = Mnemonic.substr(0, Dot);
+  std::string Op = Mnemonic.substr(Dot + 1);
+  const ValType I32 = ValType::I32;
+  if (Prefix == "memory")
+    return Op == "size" ? SpecSig{{}, {I32}} : SpecSig{{I32}, {I32}};
+  std::optional<ValType> T = valTypeNamed(Prefix);
+  if (!T)
+    return std::nullopt; // local.*, global.*
+  bool Int = *T == ValType::I32 || *T == ValType::I64;
+  if (Op == "const")
+    return SpecSig{{}, {*T}};
+  if (Op.starts_with("load")) // t.load, t.loadN_sx
+    return SpecSig{{I32}, {*T}};
+  if (Op.starts_with("store")) // t.store, t.storeN
+    return SpecSig{{I32, *T}, {}};
+  bool Unop = Int ? oneOf(Op, {"clz", "ctz", "popcnt", "extend8_s",
+                               "extend16_s", "extend32_s"})
+                  : oneOf(Op, {"abs", "neg", "sqrt", "ceil", "floor", "trunc",
+                               "nearest"});
+  if (Unop)
+    return SpecSig{{*T}, {*T}};
+  bool Binop = Int ? oneOf(Op, {"add", "sub", "mul", "div_s", "div_u",
+                                "rem_s", "rem_u", "and", "or", "xor", "shl",
+                                "shr_s", "shr_u", "rotl", "rotr"})
+                   : oneOf(Op, {"add", "sub", "mul", "div", "min", "max",
+                                "copysign"});
+  if (Binop)
+    return SpecSig{{*T, *T}, {*T}};
+  if (Int && Op == "eqz") // testop
+    return SpecSig{{*T}, {I32}};
+  bool Relop = Int ? oneOf(Op, {"eq", "ne", "lt_s", "lt_u", "gt_s", "gt_u",
+                                "le_s", "le_u", "ge_s", "ge_u"})
+                   : oneOf(Op, {"eq", "ne", "lt", "gt", "le", "ge"});
+  if (Relop)
+    return SpecSig{{*T, *T}, {I32}};
+  // t2.cvtop_t1[_sx]
+  size_t Underscore = Op.find('_');
+  if (Underscore != std::string::npos &&
+      oneOf(Op.substr(0, Underscore), {"wrap", "extend", "trunc", "convert",
+                                       "demote", "promote", "reinterpret"}))
+    if (std::optional<ValType> From =
+            valTypeNamed(Op.substr(Underscore + 1, 3)))
+      return SpecSig{{*From}, {*T}};
+  ADD_FAILURE() << "no spec rule for " << Mnemonic;
+  return std::nullopt;
+}
+
+Instr zeroOf(ValType T) {
+  switch (T) {
+  case ValType::I32:
+    return Instr::i32Const(0);
+  case ValType::I64:
+    return Instr::i64Const(0);
+  case ValType::F32:
+    return Instr::f32Const(0);
+  case ValType::F64:
+    return Instr::f64Const(0);
+  }
+  return Instr::i32Const(0);
+}
+
+/// A void function that pushes Operands, runs Op, and drops its result.
+Module bodyAround(std::vector<Instr> Prefix, Opcode Op, bool HasResult) {
+  Prefix.push_back(Instr(Op));
+  if (HasResult)
+    Prefix.push_back(Instr(Opcode::Drop));
+  Prefix.push_back(Instr(Opcode::End));
+  return moduleWithBody(std::move(Prefix));
+}
+
+/// Runs both typing engines on function 0 of M. They must agree on the
+/// verdict and, on rejection, on the error text after the engine prefix.
+bool bothEnginesAccept(const Module &M, const std::string &What) {
+  Result<void> Validated = wasm::validateFunction(M, 0);
+  Result<void> Evaluated = evaluateFunction(M, 0);
+  EXPECT_EQ(Validated.isOk(), Evaluated.isOk()) << What;
+  if (Validated.isErr() && Evaluated.isErr()) {
+    EXPECT_EQ(Validated.error().message().substr(sizeof("validation: ") - 1),
+              Evaluated.error().message().substr(sizeof("analysis: ") - 1))
+        << What;
+  }
+  return Validated.isOk();
+}
+
+TEST(StackEval, SpecTypingOfEveryFixedOpcode) {
+  const ValType All[] = {ValType::I32, ValType::I64, ValType::F32,
+                         ValType::F64};
+  unsigned Fixed = 0;
+  for (unsigned Index = 0; Index < wasm::NumOpcodes; ++Index) {
+    Opcode Op = static_cast<Opcode>(Index);
+    const wasm::OpcodeInfo &Info = wasm::opcodeInfo(Op);
+    std::string Name = Info.Name;
+    std::optional<SpecSig> Spec = specSignature(Name);
+    ASSERT_EQ(Spec.has_value(), Info.Fixed) << Name;
+    if (!Spec)
+      continue;
+    ++Fixed;
+    SpecSig Table{{Info.Operands, Info.Operands + Info.NumOperands}, {}};
+    if (Info.HasResult)
+      Table.Results.push_back(Info.Result);
+    EXPECT_TRUE(Table == *Spec) << Name << ": table disagrees with the spec";
+
+    bool HasResult = !Spec->Results.empty();
+    std::vector<Instr> Operands;
+    for (ValType T : Spec->Params)
+      Operands.push_back(zeroOf(T));
+    EXPECT_TRUE(bothEnginesAccept(bodyAround(Operands, Op, HasResult),
+                                  Name + " on its exact operands"));
+    for (size_t Slot = 0; Slot < Spec->Params.size(); ++Slot)
+      for (ValType Wrong : All) {
+        if (Wrong == Spec->Params[Slot])
+          continue;
+        std::vector<Instr> Swapped = Operands;
+        Swapped[Slot] = zeroOf(Wrong);
+        EXPECT_FALSE(bothEnginesAccept(
+            bodyAround(Swapped, Op, HasResult),
+            Name + " with operand " + std::to_string(Slot) + " as " +
+                wasm::valTypeName(Wrong)));
+      }
+    if (!Operands.empty()) {
+      EXPECT_FALSE(bothEnginesAccept(bodyAround({}, Op, HasResult),
+                                     Name + " on an empty stack"));
+    }
+    EXPECT_TRUE(bothEnginesAccept(
+        bodyAround({Instr(Opcode::Unreachable)}, Op, HasResult),
+        Name + " below unreachable"));
+  }
+  EXPECT_EQ(Fixed, 157u); // All 177 opcodes but the 20 typed by hand.
 }
 
 // --- Golden parameter evidence ------------------------------------------------

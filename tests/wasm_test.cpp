@@ -40,13 +40,65 @@ TEST(ValTypes, Names) {
 
 // --- Opcode table ---------------------------------------------------------
 
+unsigned valTypeBytes(ValType Type) {
+  return Type == ValType::I64 || Type == ValType::F64 ? 8 : 4;
+}
+
 TEST(Opcodes, TableIsConsistent) {
   for (unsigned I = 0; I < NumOpcodes; ++I) {
     Opcode Op = static_cast<Opcode>(I);
+    const OpcodeInfo &Info = opcodeInfo(Op);
     Opcode Back;
-    ASSERT_TRUE(opcodeFromByte(opcodeByte(Op), Back)) << opcodeName(Op);
-    EXPECT_EQ(Back, Op) << opcodeName(Op);
+    ASSERT_TRUE(opcodeFromByte(opcodeByte(Op), Back)) << Info.Name;
+    EXPECT_EQ(Back, Op) << Info.Name;
+
+    // A memarg immediate exactly on the loads and stores, each with a
+    // power-of-two width no wider than the value it moves.
+    bool Memory = Info.Class == OpClass::Load || Info.Class == OpClass::Store;
+    EXPECT_EQ(Info.Imm == ImmKind::Mem, Memory) << Info.Name;
+    if (Memory) {
+      EXPECT_TRUE(Info.AccessBytes == 1 || Info.AccessBytes == 2 ||
+                  Info.AccessBytes == 4 || Info.AccessBytes == 8)
+          << Info.Name;
+      ValType Moved =
+          Info.Class == OpClass::Load ? Info.Result : Info.Operands[1];
+      EXPECT_LE(Info.AccessBytes, valTypeBytes(Moved)) << Info.Name;
+    } else {
+      EXPECT_EQ(Info.AccessBytes, 0) << Info.Name;
+    }
+
+    // Only control, calls, variables and parametric opcodes are typed by
+    // hand; every other row carries a signature.
+    bool Dynamic = Info.Class == OpClass::Control ||
+                   Info.Class == OpClass::Call ||
+                   Info.Class == OpClass::Variable ||
+                   Info.Class == OpClass::Parametric;
+    EXPECT_EQ(Info.Fixed, !Dynamic) << Info.Name;
+    if (Info.Fixed) {
+      EXPECT_TRUE(Info.NumOperands > 0 || Info.HasResult) << Info.Name;
+    }
   }
+}
+
+TEST(Opcodes, ControlClassIsTheBlockBoundarySet) {
+  // buildCfg gives each of these its own basic block and coalesces the rest.
+  const std::vector<Opcode> Expected = {
+      Opcode::Unreachable, Opcode::Block, Opcode::Loop, Opcode::If,
+      Opcode::Else,        Opcode::End,   Opcode::Br,   Opcode::BrIf,
+      Opcode::BrTable,     Opcode::Return};
+  std::vector<Opcode> Control;
+  for (unsigned I = 0; I < NumOpcodes; ++I)
+    if (opcodeInfo(static_cast<Opcode>(I)).Class == OpClass::Control)
+      Control.push_back(static_cast<Opcode>(I));
+  EXPECT_EQ(Control, Expected);
+}
+
+TEST(Opcodes, SignednessIsTheMnemonicSuffix) {
+  EXPECT_EQ(opcodeInfo(Opcode::I32Load8S).Sign, OpSign::Signed);
+  EXPECT_EQ(opcodeInfo(Opcode::I64Load32U).Sign, OpSign::Unsigned);
+  EXPECT_EQ(opcodeInfo(Opcode::I32Load).Sign, OpSign::None);
+  EXPECT_EQ(opcodeInfo(Opcode::I32TruncF64S).Sign, OpSign::Signed);
+  EXPECT_EQ(opcodeInfo(Opcode::I32WrapI64).Sign, OpSign::None);
 }
 
 TEST(Opcodes, KnownEncodings) {
@@ -265,6 +317,47 @@ TEST(Reader, RejectsTruncatedSection) {
   std::vector<uint8_t> Bytes = writeModule(M);
   Bytes.resize(Bytes.size() - 3);
   EXPECT_TRUE(readModule(Bytes).isErr());
+}
+
+/// Decodes one instruction from Bytes; true when the whole encoding is read.
+bool decodes(const std::vector<uint8_t> &Bytes, Instr &Out) {
+  size_t Offset = 0;
+  return readInstr(Bytes, Offset, Out) && Offset == Bytes.size();
+}
+
+TEST(Reader, ReservedIndexByteMustBeZero) {
+  Instr Decoded;
+  EXPECT_TRUE(decodes({0x3f, 0x00}, Decoded)); // memory.size 0
+  EXPECT_FALSE(decodes({0x3f, 0x05}, Decoded));
+  EXPECT_FALSE(decodes({0x3f, 0x80, 0x00}, Decoded)); // 0, but not one byte.
+  EXPECT_TRUE(decodes({0x40, 0x00}, Decoded)); // memory.grow 0
+  EXPECT_FALSE(decodes({0x40, 0x01}, Decoded));
+  EXPECT_TRUE(decodes({0x11, 0x03, 0x00}, Decoded)); // call_indirect 3 0
+  EXPECT_EQ(Decoded, Instr(Opcode::CallIndirect, 3, 0));
+  EXPECT_FALSE(decodes({0x11, 0x03, 0x01}, Decoded));
+  EXPECT_FALSE(decodes({0x11, 0x03, 0x80, 0x00}, Decoded));
+}
+
+TEST(Reader, MemargFieldsMustFitU32) {
+  Instr Decoded;
+  // i32.load align=2 offset=2^32-1: the largest offset there is.
+  ASSERT_TRUE(decodes({0x28, 0x02, 0xff, 0xff, 0xff, 0xff, 0x0f}, Decoded));
+  EXPECT_EQ(Decoded, Instr::load(Opcode::I32Load, 0xffffffffu, 2));
+  // Offset 2^32.
+  EXPECT_FALSE(decodes({0x28, 0x02, 0x80, 0x80, 0x80, 0x80, 0x10}, Decoded));
+  // Alignment exponent 2^32.
+  EXPECT_FALSE(decodes({0x28, 0x80, 0x80, 0x80, 0x80, 0x10, 0x00}, Decoded));
+}
+
+TEST(Reader, RejectsNonzeroMemoryIndexInModule) {
+  Module M = makeTinyModule();
+  Function F;
+  F.TypeIndex = M.internType(FuncType{{}, {ValType::I32}});
+  F.Body = {Instr(Opcode::MemorySize, 0), Instr(Opcode::End)};
+  M.Functions.push_back(F);
+  ASSERT_TRUE(readModule(writeModule(M)).isOk());
+  M.Functions.back().Body[0].Imm0 = 5; // The writer emits it as given.
+  EXPECT_TRUE(readModule(writeModule(M)).isErr());
 }
 
 // --- Text printing ------------------------------------------------------------
