@@ -406,7 +406,7 @@ Result<void> Evaluator::step(const Instr &I, size_t Index) {
     std::vector<AbstractValue> ThenResults;
     if (!popSequence(F.Results, ThenResults))
       return fail("then-branch result mismatch");
-    if (Stack.size() != F.StackHeight && !F.Unreachable)
+    if (Stack.size() != F.StackHeight)
       return fail("then-branch leaves extra values");
     // The then-branch's fall-through edge joins the if's end label.
     bool ThenReachable = !F.Unreachable;
@@ -455,7 +455,7 @@ Result<void> Evaluator::step(const Instr &I, size_t Index) {
     std::vector<AbstractValue> Results;
     if (!popSequence(F.Results, Results))
       return fail("block result mismatch at end");
-    if (Stack.size() != F.StackHeight && !F.Unreachable)
+    if (Stack.size() != F.StackHeight)
       return fail("extra values on stack at end");
     bool FallThrough = !F.Unreachable;
     bool IsFunctionFrame = Frames.size() == 1;

@@ -1,5 +1,6 @@
 #include "dataset/journal.h"
 
+#include "support/bytes.h"
 #include "support/hash.h"
 #include "support/io.h"
 
@@ -37,72 +38,6 @@ constexpr uint8_t MaxOutcome =
 /// this is a corrupted length field, not a message.
 constexpr uint64_t MaxStringBytes = 1u << 20;
 
-void appendU32(uint32_t Value, std::vector<uint8_t> &Out) {
-  for (int Shift = 0; Shift < 32; Shift += 8)
-    Out.push_back(static_cast<uint8_t>(Value >> Shift));
-}
-
-void appendU64(uint64_t Value, std::vector<uint8_t> &Out) {
-  for (int Shift = 0; Shift < 64; Shift += 8)
-    Out.push_back(static_cast<uint8_t>(Value >> Shift));
-}
-
-void appendString(const std::string &Text, std::vector<uint8_t> &Out) {
-  appendU64(Text.size(), Out);
-  Out.insert(Out.end(), Text.begin(), Text.end());
-}
-
-/// Bounds-checked little-endian reader over the serialized journal.
-class Reader {
-public:
-  explicit Reader(const std::vector<uint8_t> &Input) : Bytes(Input) {}
-
-  bool readU8(uint8_t &Out) {
-    if (Offset >= Bytes.size())
-      return false;
-    Out = Bytes[Offset++];
-    return true;
-  }
-
-  bool readU32(uint32_t &Out) {
-    uint64_t Wide;
-    if (!readFixed(4, Wide))
-      return false;
-    Out = static_cast<uint32_t>(Wide);
-    return true;
-  }
-
-  bool readU64(uint64_t &Out) { return readFixed(8, Out); }
-
-  bool readString(std::string &Out) {
-    uint64_t Size;
-    if (!readU64(Size) || Size > MaxStringBytes ||
-        Size > Bytes.size() - Offset)
-      return false;
-    Out.assign(Bytes.begin() + static_cast<ptrdiff_t>(Offset),
-               Bytes.begin() + static_cast<ptrdiff_t>(Offset + Size));
-    Offset += Size;
-    return true;
-  }
-
-  size_t remaining() const { return Bytes.size() - Offset; }
-  bool atEnd() const { return Offset >= Bytes.size(); }
-
-private:
-  bool readFixed(size_t NumBytes, uint64_t &Out) {
-    if (Bytes.size() - Offset < NumBytes)
-      return false;
-    Out = 0;
-    for (size_t I = 0; I < NumBytes; ++I)
-      Out |= static_cast<uint64_t>(Bytes[Offset + I]) << (8 * I);
-    Offset += NumBytes;
-    return true;
-  }
-
-  const std::vector<uint8_t> &Bytes;
-  size_t Offset = 0;
-};
-
 } // namespace
 
 DedupSnapshot IngestJournal::snapshot() const {
@@ -134,45 +69,44 @@ DedupSnapshot IngestJournal::snapshot() const {
 
 std::vector<uint8_t> IngestJournal::serialize() const {
   std::vector<uint8_t> Out;
-  // Byte-wise on purpose: GCC 12's -Wstringop-overflow misfires on a
-  // range-insert from a constexpr array into an empty vector.
+  bytes::Writer W(Out);
   for (uint8_t Byte : Magic)
-    Out.push_back(Byte);
-  appendU32(JournalVersion, Out);
-  appendU64(ConfigDigest, Out);
-  appendU64(Records.size(), Out);
+    W.u8(Byte);
+  W.u32(JournalVersion);
+  W.u64(ConfigDigest);
+  W.u64(Records.size());
   for (const FileRecord &Rec : Records) {
-    appendString(Rec.RelPath, Out);
-    Out.push_back(static_cast<uint8_t>(Rec.Outcome));
-    Out.push_back(static_cast<uint8_t>(Rec.Code));
-    appendString(Rec.Stage, Out);
-    appendString(Rec.Message, Out);
-    appendU64(Rec.ExactHash, Out);
-    appendU64(Rec.ApproxHash, Out);
-    appendU64(Rec.Bytes, Out);
-    appendU64(Rec.Functions, Out);
-    appendU64(Rec.Instructions, Out);
+    W.string(Rec.RelPath);
+    W.u8(static_cast<uint8_t>(Rec.Outcome));
+    W.u8(static_cast<uint8_t>(Rec.Code));
+    W.string(Rec.Stage);
+    W.string(Rec.Message);
+    W.u64(Rec.ExactHash);
+    W.u64(Rec.ApproxHash);
+    W.u64(Rec.Bytes);
+    W.u64(Rec.Functions);
+    W.u64(Rec.Instructions);
   }
   DedupSnapshot Snap = snapshot();
-  appendU64(Snap.KeptFiles, Out);
-  appendU64(Snap.ExactDuplicates, Out);
-  appendU64(Snap.NearDuplicates, Out);
-  appendU64(Snap.ParseQuarantines, Out);
-  appendU64(Snap.WatchdogQuarantines, Out);
-  appendU64(Snap.ExactSetDigest, Out);
-  appendU64(Snap.ApproxSetDigest, Out);
+  W.u64(Snap.KeptFiles);
+  W.u64(Snap.ExactDuplicates);
+  W.u64(Snap.NearDuplicates);
+  W.u64(Snap.ParseQuarantines);
+  W.u64(Snap.WatchdogQuarantines);
+  W.u64(Snap.ExactSetDigest);
+  W.u64(Snap.ApproxSetDigest);
   return Out;
 }
 
 Result<IngestJournal>
 IngestJournal::deserialize(const std::vector<uint8_t> &Bytes) {
-  Reader R(Bytes);
+  bytes::Reader R(Bytes);
   uint8_t MagicByte;
   for (int I = 0; I < 4; ++I)
-    if (!R.readU8(MagicByte) || MagicByte != Magic[I])
+    if (!R.u8(MagicByte) || MagicByte != Magic[I])
       return Error(ErrorCode::Malformed, "journal: bad magic");
   uint32_t Version;
-  if (!R.readU32(Version))
+  if (!R.u32(Version))
     return Error(ErrorCode::Truncated, "journal: truncated header");
   if (Version != JournalVersion)
     return Error(ErrorCode::Unsupported,
@@ -181,7 +115,7 @@ IngestJournal::deserialize(const std::vector<uint8_t> &Bytes) {
                      std::to_string(JournalVersion) + ")");
   IngestJournal J;
   uint64_t NumRecords;
-  if (!R.readU64(J.ConfigDigest) || !R.readU64(NumRecords))
+  if (!R.u64(J.ConfigDigest) || !R.u64(NumRecords))
     return Error(ErrorCode::Truncated, "journal: truncated header");
   // Every record costs well over one byte; a count past the remaining bytes
   // is a hostile or corrupted header, not a record list.
@@ -194,11 +128,13 @@ IngestJournal::deserialize(const std::vector<uint8_t> &Bytes) {
     std::string Where = "journal: record " + std::to_string(I) + ": ";
     FileRecord Rec;
     uint8_t Outcome, Code;
-    if (!R.readString(Rec.RelPath) || !R.readU8(Outcome) || !R.readU8(Code) ||
-        !R.readString(Rec.Stage) || !R.readString(Rec.Message) ||
-        !R.readU64(Rec.ExactHash) || !R.readU64(Rec.ApproxHash) ||
-        !R.readU64(Rec.Bytes) || !R.readU64(Rec.Functions) ||
-        !R.readU64(Rec.Instructions))
+    // An over-cap string length is reported as truncation, like a short
+    // one: either way the record cannot be what the writer produced.
+    if (!R.string(Rec.RelPath, MaxStringBytes) || !R.u8(Outcome) ||
+        !R.u8(Code) || !R.string(Rec.Stage, MaxStringBytes) ||
+        !R.string(Rec.Message, MaxStringBytes) || !R.u64(Rec.ExactHash) ||
+        !R.u64(Rec.ApproxHash) || !R.u64(Rec.Bytes) ||
+        !R.u64(Rec.Functions) || !R.u64(Rec.Instructions))
       return Error(ErrorCode::Truncated, Where + "truncated");
     if (Outcome > MaxOutcome)
       return Error(ErrorCode::Malformed, Where + "invalid outcome");
@@ -209,22 +145,14 @@ IngestJournal::deserialize(const std::vector<uint8_t> &Bytes) {
     J.Records.push_back(std::move(Rec));
   }
   DedupSnapshot Stored;
-  if (!R.readU64(Stored.KeptFiles) || !R.readU64(Stored.ExactDuplicates) ||
-      !R.readU64(Stored.NearDuplicates) ||
-      !R.readU64(Stored.ParseQuarantines) ||
-      !R.readU64(Stored.WatchdogQuarantines) ||
-      !R.readU64(Stored.ExactSetDigest) || !R.readU64(Stored.ApproxSetDigest))
+  if (!R.u64(Stored.KeptFiles) || !R.u64(Stored.ExactDuplicates) ||
+      !R.u64(Stored.NearDuplicates) || !R.u64(Stored.ParseQuarantines) ||
+      !R.u64(Stored.WatchdogQuarantines) || !R.u64(Stored.ExactSetDigest) ||
+      !R.u64(Stored.ApproxSetDigest))
     return Error(ErrorCode::Truncated, "journal: truncated dedup snapshot");
   if (!R.atEnd())
     return Error(ErrorCode::Malformed, "journal: trailing bytes");
-  DedupSnapshot Computed = J.snapshot();
-  if (Computed.KeptFiles != Stored.KeptFiles ||
-      Computed.ExactDuplicates != Stored.ExactDuplicates ||
-      Computed.NearDuplicates != Stored.NearDuplicates ||
-      Computed.ParseQuarantines != Stored.ParseQuarantines ||
-      Computed.WatchdogQuarantines != Stored.WatchdogQuarantines ||
-      Computed.ExactSetDigest != Stored.ExactSetDigest ||
-      Computed.ApproxSetDigest != Stored.ApproxSetDigest)
+  if (J.snapshot() != Stored)
     return Error(ErrorCode::Malformed,
                  "journal: dedup snapshot disagrees with its records");
   return J;

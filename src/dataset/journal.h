@@ -75,6 +75,8 @@ struct DedupSnapshot {
   uint64_t ExactSetDigest = 0;
   /// hashCombine chain over kept records' ApproxHash, in record order.
   uint64_t ApproxSetDigest = 0;
+
+  bool operator==(const DedupSnapshot &) const = default;
 };
 
 /// A loaded (or in-construction) ingest journal.

@@ -1,5 +1,6 @@
 #include "dwarf/io.h"
 
+#include "support/bytes.h"
 #include "support/leb128.h"
 
 #include <map>
@@ -15,21 +16,6 @@ constexpr uint8_t FormUdata = 0x0f; // ULEB constant (DW_FORM_udata).
 constexpr uint8_t FormStrp = 0x0e;  // 4-byte .debug_str offset (DW_FORM_strp).
 constexpr uint8_t FormRef4 = 0x13;  // 4-byte .debug_info offset (DW_FORM_ref4).
 constexpr uint8_t FormFlag = 0x0c;  // 1-byte flag (DW_FORM_flag).
-
-void writeU32(uint32_t Value, std::vector<uint8_t> &Out) {
-  for (int Shift = 0; Shift < 32; Shift += 8)
-    Out.push_back(static_cast<uint8_t>(Value >> Shift));
-}
-
-bool readU32At(const std::vector<uint8_t> &Bytes, size_t &Offset,
-               uint32_t &Value) {
-  if (Offset + 4 > Bytes.size())
-    return false;
-  Value = 0;
-  for (int Shift = 0; Shift < 32; Shift += 8)
-    Value |= static_cast<uint32_t>(Bytes[Offset++]) << Shift;
-  return true;
-}
 
 /// Interns strings into a .debug_str image, reusing offsets for duplicates.
 class StringTable {
@@ -152,11 +138,11 @@ DebugSections writeDebugSections(const DebugInfo &Info) {
         break;
       case AttrValueKind::AVK_String:
         Out.push_back(FormStrp);
-        writeU32(Strings.intern(Value.String), Out);
+        bytes::Writer(Out).u32(Strings.intern(Value.String));
         break;
       case AttrValueKind::AVK_Ref:
         Out.push_back(FormRef4);
-        writeU32(OffsetOf[static_cast<DieRef>(Value.Uint)], Out);
+        bytes::Writer(Out).u32(OffsetOf[static_cast<DieRef>(Value.Uint)]);
         break;
       case AttrValueKind::AVK_Flag:
         Out.push_back(FormFlag);
@@ -220,6 +206,13 @@ private:
                    "DIE tree deeper than " + std::to_string(MaxDieDepth));
     size_t DieOffset = Offset;
     auto At = [&]() { return " at offset " + std::to_string(DieOffset); };
+    // DW_FORM_strp and DW_FORM_ref4 are 4-byte little-endian offsets.
+    auto ReadU32 = [&](uint32_t &Value) {
+      bytes::Reader Field(InfoBytes, Offset);
+      bool Read = Field.u32(Value);
+      Offset = Field.position();
+      return Read;
+    };
     uint64_t TagValue;
     if (!decodeULEB128(InfoBytes, Offset, TagValue))
       return Error(ErrorCode::Truncated, "truncated DIE tag" + At());
@@ -265,7 +258,7 @@ private:
       }
       case FormStrp: {
         uint32_t StrOffset;
-        if (!readU32At(InfoBytes, Offset, StrOffset))
+        if (!ReadU32(StrOffset))
           return Error(ErrorCode::Truncated, "truncated strp" + At());
         if (StrOffset >= StrBytes.size())
           return Error(ErrorCode::Malformed,
@@ -278,7 +271,7 @@ private:
       }
       case FormRef4: {
         uint32_t Target;
-        if (!readU32At(InfoBytes, Offset, Target))
+        if (!ReadU32(Target))
           return Error(ErrorCode::Truncated, "truncated ref4" + At());
         PendingRefs.emplace_back(NewRef, std::make_pair(A, Target));
         break;

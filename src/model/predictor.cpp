@@ -85,20 +85,22 @@ Predictor::predictEncoded(const std::vector<uint32_t> &SourceIds, unsigned K,
   return Out;
 }
 
+std::optional<wasm::ValType>
+lowLevelOf(const std::vector<std::string> &InputTokens) {
+  if (InputTokens.empty())
+    return std::nullopt;
+  for (wasm::ValType Type : {wasm::ValType::I32, wasm::ValType::I64,
+                             wasm::ValType::F32, wasm::ValType::F64})
+    if (InputTokens[0] == wasm::valTypeName(Type))
+      return Type;
+  return std::nullopt;
+}
+
 std::vector<TypePrediction>
 Predictor::predict(const std::vector<std::string> &InputTokens, unsigned K,
                    const analysis::QueryEvidence *Evidence) const {
-  std::optional<wasm::ValType> LowLevel;
-  if (!InputTokens.empty()) {
-    // The extraction prefix is "<t_low> <begin> ...".
-    for (wasm::ValType Type :
-         {wasm::ValType::I32, wasm::ValType::I64, wasm::ValType::F32,
-          wasm::ValType::F64})
-      if (InputTokens[0] == wasm::valTypeName(Type))
-        LowLevel = Type;
-  }
-  return predictEncoded(BoundTask.encodeSource(InputTokens), K, LowLevel,
-                        Evidence);
+  return predictEncoded(BoundTask.encodeSource(InputTokens), K,
+                        lowLevelOf(InputTokens), Evidence);
 }
 
 StatisticalBaseline::StatisticalBaseline(const Task &BoundTask) {

@@ -38,6 +38,12 @@ size_t applyEvidenceGate(std::vector<TypePrediction> &Predictions,
                          const analysis::QueryEvidence &Evidence,
                          const analysis::GateOptions &Options = {});
 
+/// The low-level wasm type an extracted input names first: the extraction
+/// prefix is "<t_low> <begin> ...". nullopt for an empty input or a first
+/// token that is not a value-type name.
+std::optional<wasm::ValType>
+lowLevelOf(const std::vector<std::string> &InputTokens);
+
 /// Wraps a trained model and a task's codecs into the user-facing "give me
 /// the top-k types for this parameter/return" query. The raw model is not
 /// constrained to produce unique sequences (the paper discusses duplicate

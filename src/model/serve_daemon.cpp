@@ -1,6 +1,7 @@
 #include "model/serve_daemon.h"
 
 #include "analysis/evidence.h"
+#include "support/bytes.h"
 #include "support/hash.h"
 #include "support/io.h"
 #include "support/telemetry.h"
@@ -8,7 +9,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 namespace snowwhite {
 namespace model {
@@ -243,7 +243,7 @@ void PredictionCache::publishGauges() const {
 //===----------------------------------------------------------------------===//
 // Snapshot serialization
 //
-// Layout (all integers u64 little-endian, mirroring the checkpoint format):
+// Layout (every integer a u64 slot of the bytes:: codec, support/bytes.h):
 //
 //   Magic  Version  NumSegments
 //   per segment: PayloadLen  Checksum(FNV-1a over payload)  payload
@@ -265,63 +265,6 @@ constexpr uint64_t SnapshotMagic = 0x31485343574f4e53ULL;
 // allocation bomb.
 constexpr uint64_t MaxSnapshotFieldBytes = 1ull << 24;
 
-void appendU64(std::vector<uint8_t> &Out, uint64_t Value) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<uint8_t>((Value >> (8 * I)) & 0xff));
-}
-
-void appendBytes(std::vector<uint8_t> &Out, std::string_view Text) {
-  appendU64(Out, Text.size());
-  Out.insert(Out.end(), Text.begin(), Text.end());
-}
-
-/// Bounds-checked little-endian reader over a byte span.
-class ByteReader {
-public:
-  ByteReader(const uint8_t *Data, size_t Size) : Data(Data), Size(Size) {}
-
-  size_t remaining() const { return Size - Pos; }
-
-  bool readU64(uint64_t &Value) {
-    if (remaining() < 8)
-      return false;
-    Value = 0;
-    for (int I = 0; I < 8; ++I)
-      Value |= static_cast<uint64_t>(Data[Pos + static_cast<size_t>(I)])
-               << (8 * I);
-    Pos += 8;
-    return true;
-  }
-
-  bool readString(std::string &Out, Error &Err) {
-    uint64_t Len = 0;
-    if (!readU64(Len)) {
-      Err = Error(ErrorCode::Truncated, "length field truncated");
-      return false;
-    }
-    if (Len > MaxSnapshotFieldBytes) {
-      Err = Error(ErrorCode::LimitExceeded,
-                  "field of " + std::to_string(Len) + " bytes exceeds cap");
-      return false;
-    }
-    if (Len > remaining()) {
-      Err = Error(ErrorCode::Truncated, "field overruns its segment");
-      return false;
-    }
-    Out.assign(reinterpret_cast<const char *>(Data + Pos),
-               static_cast<size_t>(Len));
-    Pos += static_cast<size_t>(Len);
-    return true;
-  }
-
-  void skip(size_t N) { Pos += std::min(N, remaining()); }
-
-private:
-  const uint8_t *Data;
-  size_t Size;
-  size_t Pos = 0;
-};
-
 struct StagedEntry {
   std::string Key;
   CachedPrediction Value;
@@ -330,49 +273,57 @@ struct StagedEntry {
 /// Parses one segment payload into Staged. All-or-nothing: any failure
 /// leaves Staged untouched and reports the taxonomy code, so a half-parsed
 /// segment never leaks partial entries into the cache.
-Result<void> parseSegment(const uint8_t *Data, size_t Size,
+Result<void> parseSegment(std::span<const uint8_t> Payload,
                           std::vector<StagedEntry> &Staged) {
-  ByteReader R(Data, Size);
+  bytes::Reader R(Payload);
+  auto ReadString = [&R](std::string &Out) -> Result<void> {
+    bytes::StringRead Read = R.string(Out, MaxSnapshotFieldBytes);
+    if (Read.Status == bytes::StringStatus::ShortLength)
+      return Error(ErrorCode::Truncated, "length field truncated");
+    if (Read.Status == bytes::StringStatus::OverCap)
+      return Error(ErrorCode::LimitExceeded,
+                   "field of " + std::to_string(Read.Length) +
+                       " bytes exceeds cap");
+    if (Read.Status == bytes::StringStatus::ShortBody)
+      return Error(ErrorCode::Truncated, "field overruns its segment");
+    return {};
+  };
   std::vector<StagedEntry> Local;
   uint64_t EntryCount = 0;
-  if (!R.readU64(EntryCount))
+  if (!R.u64(EntryCount))
     return Error(ErrorCode::Truncated, "entry count truncated");
   if (EntryCount > MaxSnapshotFieldBytes)
     return Error(ErrorCode::LimitExceeded, "entry count exceeds cap");
   for (uint64_t E = 0; E < EntryCount; ++E) {
     StagedEntry Entry;
-    Error Err(ErrorCode::Unknown, "");
-    if (!R.readString(Entry.Key, Err))
-      return Err;
+    if (Result<void> Key = ReadString(Entry.Key); Key.isErr())
+      return Key;
     uint64_t ComputedBy = 0;
-    if (!R.readU64(ComputedBy))
+    if (!R.u64(ComputedBy))
       return Error(ErrorCode::Truncated, "tier field truncated");
     if (ComputedBy > static_cast<uint64_t>(PredictionTier::Cached))
       return Error(ErrorCode::Malformed,
                    "unknown prediction tier " + std::to_string(ComputedBy));
     Entry.Value.ComputedBy = static_cast<PredictionTier>(ComputedBy);
     uint64_t NumPredictions = 0;
-    if (!R.readU64(NumPredictions))
+    if (!R.u64(NumPredictions))
       return Error(ErrorCode::Truncated, "prediction count truncated");
     if (NumPredictions > MaxSnapshotFieldBytes)
       return Error(ErrorCode::LimitExceeded, "prediction count exceeds cap");
     for (uint64_t P = 0; P < NumPredictions; ++P) {
       TypePrediction Pred;
-      uint64_t LogProbBits = 0;
-      if (!R.readU64(LogProbBits))
+      if (!R.f32AsU64(Pred.LogProb))
         return Error(ErrorCode::Truncated, "log-prob field truncated");
-      uint32_t Bits32 = static_cast<uint32_t>(LogProbBits);
-      std::memcpy(&Pred.LogProb, &Bits32, sizeof(Pred.LogProb));
       uint64_t NumTokens = 0;
-      if (!R.readU64(NumTokens))
+      if (!R.u64(NumTokens))
         return Error(ErrorCode::Truncated, "token count truncated");
       if (NumTokens > MaxSnapshotFieldBytes)
         return Error(ErrorCode::LimitExceeded, "token count exceeds cap");
       Pred.Tokens.reserve(static_cast<size_t>(NumTokens));
       for (uint64_t T = 0; T < NumTokens; ++T) {
         std::string Tok;
-        if (!R.readString(Tok, Err))
-          return Err;
+        if (Result<void> Read = ReadString(Tok); Read.isErr())
+          return Read;
         Pred.Tokens.push_back(std::move(Tok));
       }
       Entry.Value.Predictions.push_back(std::move(Pred));
@@ -387,9 +338,10 @@ Result<void> parseSegment(const uint8_t *Data, size_t Size,
 
 std::vector<uint8_t> PredictionCache::serializeSnapshot() const {
   std::vector<uint8_t> Out;
-  appendU64(Out, SnapshotMagic);
-  appendU64(Out, SnapshotVersion);
-  appendU64(Out, Shards.size());
+  bytes::Writer W(Out);
+  W.u64(SnapshotMagic);
+  W.u64(SnapshotVersion);
+  W.u64(Shards.size());
   for (const std::unique_ptr<Shard> &S : Shards) {
     std::lock_guard<std::mutex> Lock(S->Mutex);
     // Oldest-LRU-first, so restoreEntry() replays recency in file order and
@@ -405,22 +357,21 @@ std::vector<uint8_t> PredictionCache::serializeSnapshot() const {
                 return A->LastUse < B->LastUse;
               });
     std::vector<uint8_t> Payload;
-    appendU64(Payload, Ordered.size());
+    bytes::Writer PW(Payload);
+    PW.u64(Ordered.size());
     for (const Entry *E : Ordered) {
-      appendBytes(Payload, E->Key);
-      appendU64(Payload, static_cast<uint64_t>(E->Value.ComputedBy));
-      appendU64(Payload, E->Value.Predictions.size());
+      PW.string(E->Key);
+      PW.u64(static_cast<uint64_t>(E->Value.ComputedBy));
+      PW.u64(E->Value.Predictions.size());
       for (const TypePrediction &P : E->Value.Predictions) {
-        uint32_t Bits32 = 0;
-        std::memcpy(&Bits32, &P.LogProb, sizeof(Bits32));
-        appendU64(Payload, Bits32);
-        appendU64(Payload, P.Tokens.size());
+        PW.f32AsU64(P.LogProb);
+        PW.u64(P.Tokens.size());
         for (const std::string &Tok : P.Tokens)
-          appendBytes(Payload, Tok);
+          PW.string(Tok);
       }
     }
-    appendU64(Out, Payload.size());
-    appendU64(Out, hashVector(Payload));
+    W.u64(Payload.size());
+    W.u64(hashVector(Payload));
     Out.insert(Out.end(), Payload.begin(), Payload.end());
   }
   return Out;
@@ -448,55 +399,48 @@ PredictionCache::loadSnapshot(const std::string &Path,
   if (Read.isErr())
     return Read.error().withContext("cache snapshot '" + Path + "'");
   std::vector<uint8_t> Bytes = Read.take();
-  ByteReader Header(Bytes.data(), Bytes.size());
+  std::string Where = "cache snapshot '" + Path + "': ";
+  bytes::Reader R(Bytes);
   uint64_t Magic = 0, Version = 0, NumSegments = 0;
-  if (!Header.readU64(Magic) || !Header.readU64(Version) ||
-      !Header.readU64(NumSegments))
-    return Error(ErrorCode::Truncated,
-                 "cache snapshot '" + Path + "': header truncated");
+  if (!R.u64(Magic) || !R.u64(Version) || !R.u64(NumSegments))
+    return Error(ErrorCode::Truncated, Where + "header truncated");
   if (Magic != SnapshotMagic)
-    return Error(ErrorCode::Malformed,
-                 "cache snapshot '" + Path + "': bad magic");
+    return Error(ErrorCode::Malformed, Where + "bad magic");
   if (Version != SnapshotVersion)
     return Error(ErrorCode::Unsupported,
-                 "cache snapshot '" + Path + "': version " +
-                     std::to_string(Version) + " (expected " +
-                     std::to_string(SnapshotVersion) + ")");
+                 Where + "version " + std::to_string(Version) +
+                     " (expected " + std::to_string(SnapshotVersion) + ")");
   // A hostile segment count would otherwise dominate the quarantine
   // accounting (and its telemetry) with quadrillions of phantom segments.
   if (NumSegments > MaxSnapshotFieldBytes)
     return Error(ErrorCode::LimitExceeded,
-                 "cache snapshot '" + Path + "': segment count " +
-                     std::to_string(NumSegments) + " exceeds cap");
+                 Where + "segment count " + std::to_string(NumSegments) +
+                     " exceeds cap");
   SnapshotLoadReport Report;
   Report.SegmentsTotal = NumSegments;
-  size_t Cursor = 24; // Past the header.
   auto Quarantine = [&](ErrorCode Code, uint64_t Count) {
     Report.SegmentsQuarantined += Count;
     Report.QuarantinedByCode[Code] += Count;
     telemetry::counter("serve_cache.snapshot.quarantined").add(Count);
   };
   for (uint64_t Seg = 0; Seg < NumSegments; ++Seg) {
-    ByteReader R(Bytes.data() + Cursor, Bytes.size() - Cursor);
     uint64_t PayloadLen = 0, Checksum = 0;
-    if (!R.readU64(PayloadLen) || !R.readU64(Checksum) ||
-        PayloadLen > R.remaining()) {
+    std::span<const uint8_t> Payload;
+    if (!R.u64(PayloadLen) || !R.u64(Checksum) ||
+        !R.raw(PayloadLen, Payload)) {
       // The file ends before this segment does; everything from here on is
       // unrecoverable, so quarantine the rest in one stroke.
       Quarantine(ErrorCode::Truncated, NumSegments - Seg);
       break;
     }
-    const uint8_t *Payload = Bytes.data() + Cursor + 16;
-    Cursor += 16 + static_cast<size_t>(PayloadLen);
-    if (hashBytes(Payload, static_cast<size_t>(PayloadLen)) != Checksum) {
+    if (hashBytes(Payload.data(), Payload.size()) != Checksum) {
       // The length framing held, so later segments are still addressable:
       // skip just this one.
       Quarantine(ErrorCode::ChecksumMismatch, 1);
       continue;
     }
     std::vector<StagedEntry> Staged;
-    Result<void> Parsed =
-        parseSegment(Payload, static_cast<size_t>(PayloadLen), Staged);
+    Result<void> Parsed = parseSegment(Payload, Staged);
     if (Parsed.isErr()) {
       Quarantine(Parsed.error().code(), 1);
       continue;

@@ -76,17 +76,6 @@ std::vector<TypePrediction> decodeHypotheses(
   return Out;
 }
 
-std::optional<wasm::ValType>
-lowLevelOf(const std::vector<std::string> &InputTokens) {
-  if (InputTokens.empty())
-    return std::nullopt;
-  for (wasm::ValType Type : {wasm::ValType::I32, wasm::ValType::I64,
-                             wasm::ValType::F32, wasm::ValType::F64})
-    if (InputTokens[0] == wasm::valTypeName(Type))
-      return Type;
-  return std::nullopt;
-}
-
 } // namespace
 
 ServingEngine::ServingEngine(nn::Seq2SeqModel &Model, const Task &BoundTask,
@@ -118,17 +107,15 @@ bool ServingEngine::submit(ServeRequest Request) {
 
 std::vector<ServeResponse> ServingEngine::drain() {
   std::vector<ServeResponse> Out;
+  if (Queue.empty()) // The depth gauge is shared; an idle drain leaves it.
+    return Out;
   while (!Queue.empty()) {
-    size_t Batch = std::min(Queue.size(), std::max<size_t>(1, Options.MaxBatch));
-    for (size_t I = 0; I < Batch; ++I) {
-      // Queued requests were counted as submitted at admission, so they go
-      // straight to the ladder.
-      Out.push_back(serveLadder(Queue.front()));
-      Queue.pop_front();
-    }
-    telemetry::gauge("serving.queue_depth")
-        .set(static_cast<int64_t>(Queue.size()));
+    // Queued requests were counted as submitted at admission, so they go
+    // straight to the ladder.
+    Out.push_back(serveLadder(Queue.front()));
+    Queue.pop_front();
   }
+  telemetry::gauge("serving.queue_depth").set(0);
   return Out;
 }
 

@@ -65,8 +65,6 @@ struct ServingOptions {
   uint64_t DefaultStepBudget = 256;
   /// Admission-queue bound; submissions beyond it are rejected, not queued.
   size_t QueueCapacity = 64;
-  /// Requests processed per drain round (batching granularity).
-  size_t MaxBatch = 16;
   /// Optional fault injector: injectModelFailure() is drawn once per model
   /// decode attempt (beam and greedy separately), simulating a model tier
   /// failure so tests can exercise the full ladder deterministically.
@@ -144,7 +142,7 @@ public:
   /// dropped (counted in stats().Rejected); the caller owns retry policy.
   bool submit(ServeRequest Request);
 
-  /// Processes everything queued, in submission order, MaxBatch at a time.
+  /// Processes everything queued, in submission order.
   /// Returns one response per processed request.
   std::vector<ServeResponse> drain();
 

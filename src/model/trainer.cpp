@@ -1,5 +1,6 @@
 #include "model/trainer.h"
 
+#include "support/bytes.h"
 #include "support/io.h"
 #include "support/rng.h"
 #include "support/telemetry.h"
@@ -11,7 +12,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 
 namespace snowwhite {
@@ -60,8 +60,9 @@ float validationLoss(Seq2SeqModel &Model, const Task &TrainTask,
 // Everything the training loop's future depends on, so a resumed run replays
 // the uninterrupted one bit-for-bit: weights + Adam moments + step count,
 // both RNG states (shuffle and the model's dropout-seeding RNG), the current
-// epoch's shuffle order and position, and the early-stopping state. Written
-// via io::writeFileChecksummed (atomic + content checksum).
+// epoch's shuffle order and position, and the early-stopping state. Framed
+// by the bytes:: codec (support/bytes.h) and written via
+// io::writeFileChecksummed (atomic + content checksum).
 
 // Version 2 added the supervisor fields (EMA loss state, recovery budget,
 // LR scale) so a killed-and-resumed run replays recovery decisions exactly.
@@ -70,60 +71,6 @@ float validationLoss(Seq2SeqModel &Model, const Task &TrainTask,
 // training time.
 constexpr uint64_t CheckpointMagic = 0x534e4f57434b5054ULL; // "SNOWCKPT"
 constexpr uint64_t CheckpointVersion = 3;
-
-void appendU64(uint64_t Value, std::vector<uint8_t> &Out) {
-  for (int Shift = 0; Shift < 64; Shift += 8)
-    Out.push_back(static_cast<uint8_t>(Value >> Shift));
-}
-
-void appendFloats(const std::vector<float> &Values, std::vector<uint8_t> &Out) {
-  size_t At = Out.size();
-  Out.resize(At + Values.size() * sizeof(float));
-  std::memcpy(Out.data() + At, Values.data(), Values.size() * sizeof(float));
-}
-
-void appendRngState(const Rng &R, std::vector<uint8_t> &Out) {
-  for (uint64_t Word : R.state())
-    appendU64(Word, Out);
-}
-
-class CkptReader {
-public:
-  explicit CkptReader(const std::vector<uint8_t> &Bytes) : Bytes(Bytes) {}
-
-  bool readU64(uint64_t &Value) {
-    if (Bytes.size() - Offset < 8)
-      return false;
-    Value = 0;
-    for (int Shift = 0; Shift < 64; Shift += 8)
-      Value |= static_cast<uint64_t>(Bytes[Offset++]) << Shift;
-    return true;
-  }
-
-  bool readFloats(std::vector<float> &Values) {
-    size_t Size = Values.size() * sizeof(float);
-    if (Bytes.size() - Offset < Size)
-      return false;
-    std::memcpy(Values.data(), Bytes.data() + Offset, Size);
-    Offset += Size;
-    return true;
-  }
-
-  bool readRngState(Rng &R) {
-    std::array<uint64_t, 4> State;
-    for (uint64_t &Word : State)
-      if (!readU64(Word))
-        return false;
-    R.restoreState(State);
-    return true;
-  }
-
-  bool atEnd() const { return Offset == Bytes.size(); }
-
-private:
-  const std::vector<uint8_t> &Bytes;
-  size_t Offset = 0;
-};
 
 /// In-memory image of the resumable loop state (everything but the model and
 /// optimizer objects, which are restored in place).
@@ -189,47 +136,42 @@ std::vector<uint8_t> serializeCheckpoint(
     const std::vector<size_t> &Order,
     const std::vector<std::vector<float>> &BestWeights) {
   std::vector<uint8_t> Out;
-  appendU64(CheckpointMagic, Out);
-  appendU64(CheckpointVersion, Out);
-  appendU64(State.Epoch, Out);
-  appendU64(State.NextBegin, Out);
-  appendU64(State.BatchesRun, Out);
-  appendU64(State.StepCount, Out);
-  appendU64(State.ChecksWithoutImprovement, Out);
-  uint32_t LossBits = 0;
-  static_assert(sizeof(float) == 4, "unexpected float size");
-  std::memcpy(&LossBits, &State.BestLoss, sizeof(float));
-  appendU64(LossBits, Out);
-  appendU64(State.Stop ? 1 : 0, Out);
-  appendU64(State.HasBest ? 1 : 0, Out);
-  uint64_t EmaBits = 0;
-  static_assert(sizeof(double) == 8, "unexpected double size");
-  std::memcpy(&EmaBits, &State.EmaLoss, sizeof(double));
-  appendU64(EmaBits, Out);
-  appendU64(State.EmaCount, Out);
-  appendU64(State.ConsecutiveBad, Out);
-  appendU64(State.RecoveriesUsed, Out);
-  uint32_t LrBits = 0;
-  std::memcpy(&LrBits, &State.LrScale, sizeof(float));
-  appendU64(LrBits, Out);
-  uint64_t AccumBits = 0;
-  std::memcpy(&AccumBits, &State.AccumSeconds, sizeof(double));
-  appendU64(AccumBits, Out);
-  appendRngState(ShuffleRng, Out);
-  appendRngState(Model.modelRng(), Out);
-  appendU64(Order.size(), Out);
+  bytes::Writer W(Out);
+  W.u64(CheckpointMagic);
+  W.u64(CheckpointVersion);
+  W.u64(State.Epoch);
+  W.u64(State.NextBegin);
+  W.u64(State.BatchesRun);
+  W.u64(State.StepCount);
+  W.u64(State.ChecksWithoutImprovement);
+  W.f32AsU64(State.BestLoss);
+  W.u64(State.Stop ? 1 : 0);
+  W.u64(State.HasBest ? 1 : 0);
+  W.f64(State.EmaLoss);
+  W.u64(State.EmaCount);
+  W.u64(State.ConsecutiveBad);
+  W.u64(State.RecoveriesUsed);
+  W.f32AsU64(State.LrScale);
+  W.f64(State.AccumSeconds);
+  auto WriteRng = [&](const Rng &R) {
+    for (uint64_t Word : R.state())
+      W.u64(Word);
+  };
+  WriteRng(ShuffleRng);
+  WriteRng(Model.modelRng());
+  W.u64(Order.size());
   for (size_t Index : Order)
-    appendU64(Index, Out);
+    W.u64(Index);
   std::vector<Parameter *> Params = Model.parameters();
-  appendU64(Params.size(), Out);
+  W.u64(Params.size());
   for (const Parameter *P : Params) {
-    appendFloats(P->Value, Out);
-    appendFloats(P->AdamM, Out);
-    appendFloats(P->AdamV, Out);
+    W.floats(P->Value);
+    W.floats(P->AdamM);
+    W.floats(P->AdamV);
   }
   if (State.HasBest)
-    for (const std::vector<float> &W : BestWeights)
-      appendFloats(W, Out);
+    for (const std::vector<float> &Weights : BestWeights)
+      W.floats(Weights);
   return Out;
 }
 
@@ -238,52 +180,45 @@ Result<void> deserializeCheckpoint(const std::vector<uint8_t> &Bytes,
                                    Seq2SeqModel &Model,
                                    std::vector<size_t> &Order,
                                    std::vector<std::vector<float>> &BestWeights) {
-  CkptReader In(Bytes);
+  bytes::Reader In(Bytes);
   uint64_t Value;
-  if (!In.readU64(Value) || Value != CheckpointMagic)
+  if (!In.u64(Value) || Value != CheckpointMagic)
     return Error(ErrorCode::Malformed, "bad checkpoint magic");
-  if (!In.readU64(Value) || Value != CheckpointVersion)
+  if (!In.u64(Value) || Value != CheckpointVersion)
     return Error(ErrorCode::Unsupported, "unknown checkpoint version");
   auto Truncated = [] {
     return Error(ErrorCode::Truncated, "truncated checkpoint");
   };
-  if (!In.readU64(State.Epoch) || !In.readU64(State.NextBegin) ||
-      !In.readU64(State.BatchesRun) || !In.readU64(State.StepCount) ||
-      !In.readU64(State.ChecksWithoutImprovement))
-    return Truncated();
-  if (!In.readU64(Value))
-    return Truncated();
-  uint32_t LossBits = static_cast<uint32_t>(Value);
-  std::memcpy(&State.BestLoss, &LossBits, sizeof(float));
-  if (!In.readU64(Value))
-    return Truncated();
-  State.Stop = Value != 0;
-  if (!In.readU64(Value))
-    return Truncated();
-  State.HasBest = Value != 0;
-  if (!In.readU64(Value))
-    return Truncated();
-  std::memcpy(&State.EmaLoss, &Value, sizeof(double));
-  if (!In.readU64(State.EmaCount) || !In.readU64(State.ConsecutiveBad) ||
-      !In.readU64(State.RecoveriesUsed))
-    return Truncated();
-  if (!In.readU64(Value))
-    return Truncated();
-  uint32_t LrBits = static_cast<uint32_t>(Value);
-  std::memcpy(&State.LrScale, &LrBits, sizeof(float));
-  if (!In.readU64(Value))
-    return Truncated();
-  std::memcpy(&State.AccumSeconds, &Value, sizeof(double));
-  if (!In.readRngState(ShuffleRng) || !In.readRngState(Model.modelRng()))
-    return Truncated();
-  if (!In.readU64(Value))
+  auto ReadFlag = [&](bool &Flag) {
+    if (!In.u64(Value))
+      return false;
+    Flag = Value != 0;
+    return true;
+  };
+  auto ReadRng = [&](Rng &R) {
+    std::array<uint64_t, 4> RngState;
+    for (uint64_t &Word : RngState)
+      if (!In.u64(Word))
+        return false;
+    R.restoreState(RngState);
+    return true;
+  };
+  if (!In.u64(State.Epoch) || !In.u64(State.NextBegin) ||
+      !In.u64(State.BatchesRun) || !In.u64(State.StepCount) ||
+      !In.u64(State.ChecksWithoutImprovement) ||
+      !In.f32AsU64(State.BestLoss) || !ReadFlag(State.Stop) ||
+      !ReadFlag(State.HasBest) || !In.f64(State.EmaLoss) ||
+      !In.u64(State.EmaCount) || !In.u64(State.ConsecutiveBad) ||
+      !In.u64(State.RecoveriesUsed) || !In.f32AsU64(State.LrScale) ||
+      !In.f64(State.AccumSeconds) || !ReadRng(ShuffleRng) ||
+      !ReadRng(Model.modelRng()) || !In.u64(Value))
     return Truncated();
   if (Value != Order.size())
     return Error(ErrorCode::Malformed,
                  "checkpoint shuffle order is for a different dataset size");
   for (size_t &Index : Order) {
     uint64_t Raw;
-    if (!In.readU64(Raw))
+    if (!In.u64(Raw))
       return Truncated();
     if (Raw >= Order.size())
       return Error(ErrorCode::Malformed,
@@ -291,17 +226,17 @@ Result<void> deserializeCheckpoint(const std::vector<uint8_t> &Bytes,
     Index = Raw;
   }
   std::vector<Parameter *> Params = Model.parameters();
-  if (!In.readU64(Value) || Value != Params.size())
+  if (!In.u64(Value) || Value != Params.size())
     return Error(ErrorCode::Malformed, "checkpoint parameter count mismatch");
   for (Parameter *P : Params)
-    if (!In.readFloats(P->Value) || !In.readFloats(P->AdamM) ||
-        !In.readFloats(P->AdamV))
+    if (!In.floats(P->Value) || !In.floats(P->AdamM) ||
+        !In.floats(P->AdamV))
       return Truncated();
   BestWeights.clear();
   if (State.HasBest) {
     for (Parameter *P : Params) {
       BestWeights.emplace_back(P->Value.size());
-      if (!In.readFloats(BestWeights.back()))
+      if (!In.floats(BestWeights.back()))
         return Truncated();
     }
   }

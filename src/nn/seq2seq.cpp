@@ -1,5 +1,6 @@
 #include "nn/seq2seq.h"
 
+#include "support/bytes.h"
 #include "support/hash.h"
 #include "support/io.h"
 #include "support/thread_pool.h"
@@ -8,7 +9,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 namespace snowwhite {
 namespace nn {
@@ -430,100 +430,53 @@ namespace {
 
 constexpr uint64_t ModelMagic = 0x534e4f574d4f444cULL; // "SNOWMODL"
 
-void appendU64(uint64_t Value, std::vector<uint8_t> &Out) {
-  for (int Shift = 0; Shift < 64; Shift += 8)
-    Out.push_back(static_cast<uint8_t>(Value >> Shift));
-}
-
-void appendFloats(const std::vector<float> &Values, std::vector<uint8_t> &Out) {
-  size_t At = Out.size();
-  Out.resize(At + Values.size() * sizeof(float));
-  std::memcpy(Out.data() + At, Values.data(), Values.size() * sizeof(float));
-}
-
-/// Bounds-checked little-endian reader over a serialized model buffer.
-class BufReader {
-public:
-  explicit BufReader(const std::vector<uint8_t> &Bytes) : Bytes(Bytes) {}
-
-  bool readU64(uint64_t &Value) {
-    if (Bytes.size() - Offset < 8)
-      return false;
-    Value = 0;
-    for (int Shift = 0; Shift < 64; Shift += 8)
-      Value |= static_cast<uint64_t>(Bytes[Offset++]) << Shift;
-    return true;
-  }
-
-  bool readFloats(std::vector<float> &Values) {
-    size_t Size = Values.size() * sizeof(float);
-    if (Bytes.size() - Offset < Size)
-      return false;
-    std::memcpy(Values.data(), Bytes.data() + Offset, Size);
-    Offset += Size;
-    return true;
-  }
-
-  bool atEnd() const { return Offset == Bytes.size(); }
-
-private:
-  const std::vector<uint8_t> &Bytes;
-  size_t Offset = 0;
-};
-
 } // namespace
 
 std::vector<uint8_t> Seq2SeqModel::serialize() const {
   std::vector<uint8_t> Out;
-  appendU64(ModelMagic, Out);
-  appendU64(Config.SrcVocabSize, Out);
-  appendU64(Config.TgtVocabSize, Out);
-  appendU64(Config.EmbedDim, Out);
-  appendU64(Config.HiddenDim, Out);
-  appendU64(Config.MaxSrcLen, Out);
-  appendU64(Config.MaxTgtLen, Out);
-  appendU64(Config.Seed, Out);
-  uint64_t DropoutBits = 0;
-  static_assert(sizeof(float) == 4, "unexpected float size");
-  std::memcpy(&DropoutBits, &Config.DropoutRate, sizeof(float));
-  appendU64(DropoutBits, Out);
+  bytes::Writer W(Out);
+  W.u64(ModelMagic);
+  W.u64(Config.SrcVocabSize);
+  W.u64(Config.TgtVocabSize);
+  W.u64(Config.EmbedDim);
+  W.u64(Config.HiddenDim);
+  W.u64(Config.MaxSrcLen);
+  W.u64(Config.MaxTgtLen);
+  W.u64(Config.Seed);
+  W.f32AsU64(Config.DropoutRate);
 
   std::vector<Parameter *> Params =
       const_cast<Seq2SeqModel *>(this)->parameters();
-  appendU64(Params.size(), Out);
+  W.u64(Params.size());
   for (const Parameter *P : Params) {
-    appendU64(P->Rows, Out);
-    appendU64(P->Cols, Out);
-    appendFloats(P->Value, Out);
+    W.u64(P->Rows);
+    W.u64(P->Cols);
+    W.floats(P->Value);
   }
   return Out;
 }
 
 Result<Seq2SeqModel> Seq2SeqModel::deserialize(
     const std::vector<uint8_t> &Bytes) {
-  BufReader In(Bytes);
+  bytes::Reader In(Bytes);
   uint64_t Magic;
-  if (!In.readU64(Magic))
+  if (!In.u64(Magic))
     return Error(ErrorCode::Truncated, "model buffer shorter than its magic");
   if (Magic != ModelMagic)
     return Error(ErrorCode::Malformed, "bad model file magic");
   Seq2SeqConfig Config;
-  uint64_t Value;
   auto ReadField = [&](size_t &Field) {
-    if (!In.readU64(Value))
+    uint64_t Value;
+    if (!In.u64(Value))
       return false;
     Field = Value;
     return true;
   };
   if (!ReadField(Config.SrcVocabSize) || !ReadField(Config.TgtVocabSize) ||
       !ReadField(Config.EmbedDim) || !ReadField(Config.HiddenDim) ||
-      !ReadField(Config.MaxSrcLen) || !ReadField(Config.MaxTgtLen))
+      !ReadField(Config.MaxSrcLen) || !ReadField(Config.MaxTgtLen) ||
+      !In.u64(Config.Seed) || !In.f32AsU64(Config.DropoutRate))
     return Error(ErrorCode::Truncated, "truncated model config");
-  if (!In.readU64(Config.Seed))
-    return Error(ErrorCode::Truncated, "truncated model config");
-  if (!In.readU64(Value))
-    return Error(ErrorCode::Truncated, "truncated model config");
-  std::memcpy(&Config.DropoutRate, &Value, sizeof(float));
   // Counts drive allocations in the constructor; bound them so a corrupt
   // header cannot OOM.
   constexpr uint64_t MaxDim = 1u << 24;
@@ -536,14 +489,13 @@ Result<Seq2SeqModel> Seq2SeqModel::deserialize(
   Seq2SeqModel Model(Config);
   std::vector<Parameter *> Params = Model.parameters();
   uint64_t NumParams;
-  if (!In.readU64(NumParams) || NumParams != Params.size())
+  if (!In.u64(NumParams) || NumParams != Params.size())
     return Error(ErrorCode::Malformed, "parameter count mismatch");
   for (Parameter *P : Params) {
     uint64_t Rows, Cols;
-    if (!In.readU64(Rows) || !In.readU64(Cols) || Rows != P->Rows ||
-        Cols != P->Cols)
+    if (!In.u64(Rows) || !In.u64(Cols) || Rows != P->Rows || Cols != P->Cols)
       return Error(ErrorCode::Malformed, "parameter shape mismatch");
-    if (!In.readFloats(P->Value))
+    if (!In.floats(P->Value))
       return Error(ErrorCode::Truncated, "truncated parameter data");
   }
   if (!In.atEnd())

@@ -1,5 +1,6 @@
 #include "support/io.h"
 
+#include "support/bytes.h"
 #include "support/hash.h"
 
 #include <algorithm>
@@ -74,23 +75,14 @@ Result<void> writeFileAtomic(const std::string &Path,
   return fault::retryWithBackoff(Policy, WriteOnce);
 }
 
-namespace {
-
 constexpr size_t ChecksumTrailerSize = 8;
-
-void appendU64(uint64_t Value, std::vector<uint8_t> &Out) {
-  for (int Shift = 0; Shift < 64; Shift += 8)
-    Out.push_back(static_cast<uint8_t>(Value >> Shift));
-}
-
-} // namespace
 
 Result<void> writeFileChecksummed(const std::string &Path,
                                   const std::vector<uint8_t> &Bytes,
                                   fault::FaultInjector *Faults,
                                   const fault::RetryPolicy &Policy) {
   std::vector<uint8_t> WithTrailer = Bytes;
-  appendU64(hashVector(Bytes), WithTrailer);
+  bytes::Writer(WithTrailer).u64(hashVector(Bytes));
   return writeFileAtomic(Path, WithTrailer, Faults, Policy);
 }
 
@@ -104,9 +96,7 @@ Result<std::vector<uint8_t>> readFileChecksummed(const std::string &Path,
     return Error(ErrorCode::Truncated,
                  "'" + Path + "' shorter than its checksum trailer");
   uint64_t Stored = 0;
-  for (size_t I = 0; I < ChecksumTrailerSize; ++I)
-    Stored |= static_cast<uint64_t>(Bytes[Bytes.size() - ChecksumTrailerSize + I])
-              << (8 * I);
+  bytes::Reader(Bytes, Bytes.size() - ChecksumTrailerSize).u64(Stored);
   Bytes.resize(Bytes.size() - ChecksumTrailerSize);
   if (hashVector(Bytes) != Stored)
     return Error(ErrorCode::ChecksumMismatch,

@@ -1,8 +1,8 @@
 #include "wasm/instr.h"
 
 #include <array>
+#include <bit>
 #include <cassert>
-#include <cstring>
 #include <string_view>
 
 namespace snowwhite {
@@ -127,15 +127,11 @@ uint64_t encodeBlockTypeImm(BlockType Type) {
 }
 
 Instr Instr::f32Const(float Value) {
-  uint32_t Bits;
-  std::memcpy(&Bits, &Value, sizeof(Bits));
-  return Instr(Opcode::F32Const, Bits);
+  return Instr(Opcode::F32Const, std::bit_cast<uint32_t>(Value));
 }
 
 Instr Instr::f64Const(double Value) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &Value, sizeof(Bits));
-  return Instr(Opcode::F64Const, Bits);
+  return Instr(Opcode::F64Const, std::bit_cast<uint64_t>(Value));
 }
 
 Instr Instr::block(BlockType Type) {
@@ -152,18 +148,12 @@ Instr Instr::ifOp(BlockType Type) {
 
 float Instr::f32Value() const {
   assert(Op == Opcode::F32Const && "not an f32.const");
-  uint32_t Bits = static_cast<uint32_t>(Imm0);
-  float Value;
-  std::memcpy(&Value, &Bits, sizeof(Value));
-  return Value;
+  return std::bit_cast<float>(static_cast<uint32_t>(Imm0));
 }
 
 double Instr::f64Value() const {
   assert(Op == Opcode::F64Const && "not an f64.const");
-  uint64_t Bits = Imm0;
-  double Value;
-  std::memcpy(&Value, &Bits, sizeof(Value));
-  return Value;
+  return std::bit_cast<double>(Imm0);
 }
 
 int32_t Instr::i32Value() const {

@@ -190,7 +190,7 @@ Result<void> Validator::step(const Instr &I, size_t Index) {
     for (auto It = Frame.Results.rbegin(); It != Frame.Results.rend(); ++It)
       if (!popExpect(*It))
         return fail("then-branch result mismatch");
-    if (Stack.size() != Frame.StackHeight && !Frame.Unreachable)
+    if (Stack.size() != Frame.StackHeight)
       return fail("then-branch leaves extra values");
     Frames.pop_back();
     Stack.resize(Frame.StackHeight);
@@ -204,7 +204,7 @@ Result<void> Validator::step(const Instr &I, size_t Index) {
     for (auto It = Frame.Results.rbegin(); It != Frame.Results.rend(); ++It)
       if (!popExpect(*It))
         return fail("block result mismatch at end");
-    if (Stack.size() != Frame.StackHeight && !Frame.Unreachable)
+    if (Stack.size() != Frame.StackHeight)
       return fail("extra values on stack at end");
     Frames.pop_back();
     Stack.resize(Frame.StackHeight);

@@ -1,5 +1,6 @@
 #include "wasm/writer.h"
 
+#include "support/bytes.h"
 #include "support/leb128.h"
 
 #include <cassert>
@@ -7,27 +8,23 @@
 namespace snowwhite {
 namespace wasm {
 
-static void writeByte(uint8_t Byte, std::vector<uint8_t> &Out) {
-  Out.push_back(Byte);
-}
-
 static void writeName(const std::string &Name, std::vector<uint8_t> &Out) {
   encodeULEB128(Name.size(), Out);
   Out.insert(Out.end(), Name.begin(), Name.end());
 }
 
 static void writeValType(ValType Type, std::vector<uint8_t> &Out) {
-  writeByte(valTypeByte(Type), Out);
+  Out.push_back(valTypeByte(Type));
 }
 
 void writeInstr(const Instr &I, std::vector<uint8_t> &Out) {
-  writeByte(opcodeByte(I.Op), Out);
+  Out.push_back(opcodeByte(I.Op));
   switch (opcodeImmKind(I.Op)) {
   case ImmKind::None:
     break;
   case ImmKind::BlockType:
     if (I.Imm0 == 0) {
-      writeByte(0x40, Out); // Empty block type.
+      Out.push_back(0x40); // Empty block type.
     } else {
       // Value-type bytes coincide with their SLEB encodings (-1..-4).
       writeValType(static_cast<ValType>(I.Imm0 - 1), Out);
@@ -60,13 +57,11 @@ void writeInstr(const Instr &I, std::vector<uint8_t> &Out) {
   case ImmKind::I64:
     encodeSLEB128(static_cast<int64_t>(I.Imm0), Out);
     break;
-  case ImmKind::F32:
-    for (int Shift = 0; Shift < 32; Shift += 8)
-      writeByte(static_cast<uint8_t>(I.Imm0 >> Shift), Out);
+  case ImmKind::F32: // Imm0 holds the IEEE-754 bit pattern.
+    bytes::Writer(Out).u32(static_cast<uint32_t>(I.Imm0));
     break;
   case ImmKind::F64:
-    for (int Shift = 0; Shift < 64; Shift += 8)
-      writeByte(static_cast<uint8_t>(I.Imm0 >> Shift), Out);
+    bytes::Writer(Out).u64(I.Imm0);
     break;
   }
 }
@@ -74,7 +69,7 @@ void writeInstr(const Instr &I, std::vector<uint8_t> &Out) {
 /// Appends a section header (id + payload size) followed by the payload.
 static void writeSection(uint8_t Id, const std::vector<uint8_t> &Payload,
                          std::vector<uint8_t> &Out) {
-  writeByte(Id, Out);
+  Out.push_back(Id);
   encodeULEB128(Payload.size(), Out);
   Out.insert(Out.end(), Payload.begin(), Payload.end());
 }
@@ -93,7 +88,7 @@ std::vector<uint8_t> writeModule(Module &M) {
     std::vector<uint8_t> Payload;
     encodeULEB128(M.Types.size(), Payload);
     for (const FuncType &Type : M.Types) {
-      writeByte(0x60, Payload);
+      Payload.push_back(0x60);
       encodeULEB128(Type.Params.size(), Payload);
       for (ValType Param : Type.Params)
         writeValType(Param, Payload);
@@ -111,7 +106,7 @@ std::vector<uint8_t> writeModule(Module &M) {
     for (const FuncImport &Import : M.Imports) {
       writeName(Import.ModuleName, Payload);
       writeName(Import.FieldName, Payload);
-      writeByte(0x00, Payload); // Import kind: function.
+      Payload.push_back(0x00); // Import kind: function.
       encodeULEB128(Import.TypeIndex, Payload);
     }
     writeSection(2, Payload, Out);
@@ -131,7 +126,7 @@ std::vector<uint8_t> writeModule(Module &M) {
     std::vector<uint8_t> Payload;
     encodeULEB128(M.Memories.size(), Payload);
     for (const MemoryDecl &Memory : M.Memories) {
-      writeByte(Memory.HasMax ? 0x01 : 0x00, Payload);
+      Payload.push_back(Memory.HasMax ? 0x01 : 0x00);
       encodeULEB128(Memory.MinPages, Payload);
       if (Memory.HasMax)
         encodeULEB128(Memory.MaxPages, Payload);
@@ -145,9 +140,9 @@ std::vector<uint8_t> writeModule(Module &M) {
     encodeULEB128(M.Globals.size(), Payload);
     for (const GlobalDecl &Global : M.Globals) {
       writeValType(Global.Type, Payload);
-      writeByte(Global.Mutable ? 0x01 : 0x00, Payload);
+      Payload.push_back(Global.Mutable ? 0x01 : 0x00);
       writeInstr(Global.Init, Payload);
-      writeByte(opcodeByte(Opcode::End), Payload);
+      Payload.push_back(opcodeByte(Opcode::End));
     }
     writeSection(6, Payload, Out);
   }
@@ -158,7 +153,7 @@ std::vector<uint8_t> writeModule(Module &M) {
     encodeULEB128(M.Exports.size(), Payload);
     for (const FuncExport &Export : M.Exports) {
       writeName(Export.Name, Payload);
-      writeByte(0x00, Payload); // Export kind: function.
+      Payload.push_back(0x00); // Export kind: function.
       encodeULEB128(Export.FuncIndex, Payload);
     }
     writeSection(7, Payload, Out);

@@ -111,6 +111,7 @@ TEST(StackEval, AgreesWithValidatorOnHandWrittenBodies) {
     const char *Name;
     Module M;
     bool Valid;
+    const char *Reason = nullptr; ///< Expected rejection text, if pinned.
   };
   std::vector<Case> Cases;
 
@@ -145,6 +146,31 @@ TEST(StackEval, AgreesWithValidatorOnHandWrittenBodies) {
                                    Instr(Opcode::Drop), Instr(Opcode::End)}),
                    false});
 
+  // Values pushed below `unreachable` still count at the frame's end: the
+  // spec's pop_ctrl checks the height in unreachable frames too. Missing
+  // operands are polymorphic, extra ones are not.
+  Cases.push_back({"value left below unreachable at end",
+                   moduleWithBody({Instr(Opcode::Unreachable),
+                                   Instr::i32Const(1), Instr(Opcode::End)}),
+                   false, "extra values on stack at end"});
+  Cases.push_back({"extra value below unreachable past the result",
+                   moduleWithBody({Instr(Opcode::Unreachable),
+                                   Instr::i32Const(1), Instr::i32Const(2),
+                                   Instr(Opcode::End)},
+                                  {}, {ValType::I32}),
+                   false, "extra values on stack at end"});
+  Cases.push_back({"value left below unreachable at block end",
+                   moduleWithBody({Instr::block(), Instr(Opcode::Unreachable),
+                                   Instr::i32Const(1), Instr(Opcode::End),
+                                   Instr(Opcode::End)}),
+                   false, "extra values on stack at end"});
+  Cases.push_back({"value left below unreachable at else",
+                   moduleWithBody({Instr::i32Const(1), Instr::ifOp(),
+                                   Instr(Opcode::Unreachable),
+                                   Instr::i32Const(1), Instr(Opcode::Else),
+                                   Instr(Opcode::End), Instr(Opcode::End)}),
+                   false, "then-branch leaves extra values"});
+
   // Stack-polymorphic bodies that the spec accepts.
   Cases.push_back({"arith below unreachable",
                    moduleWithBody({Instr(Opcode::Unreachable),
@@ -159,6 +185,20 @@ TEST(StackEval, AgreesWithValidatorOnHandWrittenBodies) {
   Cases.push_back({"code below br is unreachable",
                    moduleWithBody({Instr::br(0), Instr::i32Const(1),
                                    Instr(Opcode::Drop), Instr(Opcode::End)}),
+                   true});
+  Cases.push_back({"result pushed below unreachable",
+                   moduleWithBody({Instr(Opcode::Unreachable),
+                                   Instr::i32Const(1), Instr(Opcode::End)},
+                                  {}, {ValType::I32}),
+                   true});
+  Cases.push_back({"then-branch result pushed below unreachable",
+                   moduleWithBody({Instr::i32Const(1),
+                                   Instr::ifOp(BlockType::value(ValType::I32)),
+                                   Instr(Opcode::Unreachable),
+                                   Instr::i32Const(1), Instr(Opcode::Else),
+                                   Instr::i32Const(2), Instr(Opcode::End),
+                                   Instr(Opcode::End)},
+                                  {}, {ValType::I32}),
                    true});
   Cases.push_back({"br_if to value-carrying block",
                    moduleWithBody({Instr::block(BlockType::value(ValType::I32)),
@@ -177,6 +217,16 @@ TEST(StackEval, AgreesWithValidatorOnHandWrittenBodies) {
     EXPECT_EQ(Evaluated.isOk(), Validated.isOk())
         << C.Name << ": evaluator disagreed ("
         << (Evaluated.isOk() ? "ok" : Evaluated.error().message()) << ")";
+    if (C.Reason && Validated.isErr()) {
+      EXPECT_NE(Validated.error().message().find(C.Reason), std::string::npos)
+          << C.Name << ": " << Validated.error().message();
+    }
+    if (Validated.isErr() && Evaluated.isErr()) {
+      EXPECT_EQ(
+          Validated.error().message().substr(sizeof("validation: ") - 1),
+          Evaluated.error().message().substr(sizeof("analysis: ") - 1))
+          << C.Name;
+    }
   }
 }
 

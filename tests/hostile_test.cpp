@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 namespace snowwhite {
@@ -535,6 +536,34 @@ TEST_F(KillResume, ModelSaveIsAtomicAndChecksummed) {
   EXPECT_EQ(Corrupt.error().code(), ErrorCode::ChecksumMismatch)
       << Corrupt.error().message();
   std::remove(Path.c_str());
+}
+
+// The checkpoint file's bytes are pinned by hash: the byte codec underneath
+// may change, the format may not. Two fields legitimately differ run to run
+// and are masked: the wall-clock AccumSeconds (payload bytes 120..127) and,
+// because it covers them, the 8-byte checksum trailer.
+TEST_F(KillResume, CheckpointFileGolden) {
+  model::Task &Task = sharedTask();
+  std::string Ckpt = ::testing::TempDir() + "/hostile_golden.ckpt";
+  std::remove(Ckpt.c_str());
+  model::TrainOptions Options = baseOptions();
+  Options.MaxEpochs = 1;
+  Options.EmbedDim = 4;
+  Options.HiddenDim = 4;
+  Options.CheckpointPath = Ckpt;
+  Options.CheckpointEveryBatches = 3;
+  model::TrainResult Trained = model::trainModel(Task, Options);
+  ASSERT_GT(Trained.BatchesRun, 3u);
+  ASSERT_TRUE(io::readFileChecksummed(Ckpt).isOk());
+  Result<std::vector<uint8_t>> Raw = io::readFileBytes(Ckpt);
+  ASSERT_TRUE(Raw.isOk());
+  std::vector<uint8_t> Bytes = Raw.take();
+  ASSERT_GT(Bytes.size(), 136u);
+  std::fill(Bytes.begin() + 120, Bytes.begin() + 128, uint8_t{0});
+  std::fill(Bytes.end() - 8, Bytes.end(), uint8_t{0});
+  EXPECT_EQ(Bytes.size(), 47696u);
+  EXPECT_EQ(hashToHex(hashVector(Bytes)), "c4930db67c8a93a5");
+  std::remove(Ckpt.c_str());
 }
 
 } // namespace

@@ -245,6 +245,39 @@ TEST(IngestJournal, QuarantineMovesTheEvidenceAside) {
 
 // --- Discovery ------------------------------------------------------------
 
+// The journal's bytes, and every verdict deserialize() gives on a truncated or
+// byte-flipped image, are pinned by hash: the byte codec underneath may
+// change, the format and the error taxonomy may not.
+TEST(IngestJournal, SerializeGolden) {
+  std::vector<uint8_t> Bytes = makeSampleJournal().serialize();
+  EXPECT_EQ(Bytes.size(), 555u);
+  EXPECT_EQ(hashToHex(hashVector(Bytes)), "cc6e0ac87ba53c02");
+}
+
+TEST(IngestJournal, LoaderVerdictsGolden) {
+  std::vector<uint8_t> Image = makeSampleJournal().serialize();
+  std::string Verdicts;
+  auto Judge = [&](const std::vector<uint8_t> &Bytes) {
+    Result<journal::IngestJournal> Loaded =
+        journal::IngestJournal::deserialize(Bytes);
+    if (Loaded.isOk())
+      Verdicts += "ok " + hashToHex(hashVector(Loaded->serialize()));
+    else
+      Verdicts += std::string(errorCodeName(Loaded.error().code())) + " " +
+                  Loaded.error().message();
+    Verdicts += '\n';
+  };
+  for (size_t Len = 0; Len <= Image.size(); ++Len)
+    Judge(std::vector<uint8_t>(Image.begin(),
+                               Image.begin() + static_cast<ptrdiff_t>(Len)));
+  for (size_t At = 0; At < Image.size(); ++At) {
+    std::vector<uint8_t> Flipped = Image;
+    Flipped[At] ^= 0xff;
+    Judge(Flipped);
+  }
+  EXPECT_EQ(hashToHex(hashString(Verdicts)), "2dc4e75bfe63cf8c");
+}
+
 TEST(IngestDiscovery, RecursesAndSortsByRelPath) {
   std::string Root = makeCorpusTree("ingest_discover", 5, 11);
   std::vector<IngestFile> Files = discoverOrDie(Root);

@@ -3,6 +3,7 @@
 #include "nn/graph.h"
 #include "nn/layers.h"
 #include "nn/seq2seq.h"
+#include "support/hash.h"
 
 #include <gtest/gtest.h>
 
@@ -714,6 +715,60 @@ TEST(GraphHostile, LayerNormZeroColumnsRegression) {
   Var Y = G.layerNorm(G.param(A), G.param(Gain), G.param(Bias));
   EXPECT_EQ(Y.rows(), 2u);
   EXPECT_EQ(Y.cols(), 0u);
+}
+
+// --- On-disk format goldens --------------------------------------------------
+//
+// The model file's bytes, and every verdict its loader gives on a damaged
+// image, are pinned by hash: the byte codec underneath may change, the format
+// and the error taxonomy may not.
+
+static Seq2SeqConfig formatGoldenConfig() {
+  Seq2SeqConfig Config;
+  Config.SrcVocabSize = 6;
+  Config.TgtVocabSize = 5;
+  Config.EmbedDim = 2;
+  Config.HiddenDim = 2;
+  Config.DropoutRate = 0.25f;
+  Config.MaxSrcLen = 4;
+  Config.MaxTgtLen = 3;
+  Config.Seed = 11;
+  return Config;
+}
+
+TEST(ModelFormat, SerializeGolden) {
+  std::vector<uint8_t> Bytes = Seq2SeqModel(formatGoldenConfig()).serialize();
+  EXPECT_EQ(Bytes.size(), 1124u);
+  EXPECT_EQ(hashToHex(hashVector(Bytes)), "0bdd788bc9ecfe7c");
+}
+
+TEST(ModelFormat, LoaderVerdictsGolden) {
+  std::vector<uint8_t> Image = Seq2SeqModel(formatGoldenConfig()).serialize();
+  std::string Verdicts;
+  auto Judge = [&](const std::vector<uint8_t> &Bytes) {
+    Result<Seq2SeqModel> Loaded = Seq2SeqModel::deserialize(Bytes);
+    if (Loaded.isOk())
+      Verdicts += "ok " + hashToHex(hashVector(Loaded->serialize()));
+    else
+      Verdicts += std::string(errorCodeName(Loaded.error().code())) + " " +
+                  Loaded.error().message();
+    Verdicts += '\n';
+  };
+  for (size_t Len = 0; Len <= Image.size(); ++Len)
+    Judge(std::vector<uint8_t>(Image.begin(),
+                               Image.begin() + static_cast<ptrdiff_t>(Len)));
+  for (size_t At = 0; At < Image.size(); ++At) {
+    // Bytes 1 and 2 of the four shape fields (source/target vocabulary,
+    // embedding and hidden width, bytes 8..39) are left out: flipping them
+    // asks the loader for a model up to 2^24 wide, which it allocates and
+    // initializes before it checks a single parameter.
+    if (At >= 8 && At < 40 && (At % 8 == 1 || At % 8 == 2))
+      continue;
+    std::vector<uint8_t> Flipped = Image;
+    Flipped[At] ^= 0xff;
+    Judge(Flipped);
+  }
+  EXPECT_EQ(hashToHex(hashString(Verdicts)), "b5a316b2a242ed9b");
 }
 
 } // namespace

@@ -41,6 +41,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -765,6 +766,35 @@ TEST(DaemonRestart, CadenceSnapshotsDuringSteadyTraffic) {
   EXPECT_GT(Loaded.value().EntriesLoaded, 0u);
   Daemon.shutdown();
   EXPECT_TRUE(Daemon.checkStats());
+}
+
+// The snapshot's bytes are pinned by hash: the byte codec underneath may
+// change, the format may not. The fill covers every tier, an entry with no
+// predictions, several predictions per entry, an empty token, and an LRU
+// refresh that reorders one shard.
+TEST(SnapshotFormat, SerializeGolden) {
+  PredictionCache::Config Cfg;
+  Cfg.NumShards = 3;
+  PredictionCache Cache(Cfg);
+  std::vector<std::string> Keys = fillCache(Cache, 7);
+  CachedPrediction Mixed;
+  Mixed.ComputedBy = PredictionTier::Greedy;
+  Mixed.Predictions.push_back(makeValue("u32", -1.5f).Predictions[0]);
+  TypePrediction Empty;
+  Empty.Tokens = {"", "pointer"};
+  Empty.LogProb = -std::numeric_limits<float>::infinity();
+  Mixed.Predictions.push_back(Empty);
+  Cache.insert(hashString("mixed"), "mixed", Mixed);
+  CachedPrediction None;
+  None.ComputedBy = PredictionTier::Baseline;
+  Cache.insert(hashString("none"), "none", None);
+  CachedPrediction Replayed = makeValue("f64", -0.125f);
+  Replayed.ComputedBy = PredictionTier::Cached;
+  Cache.insert(hashString("replayed"), "replayed", Replayed);
+  ASSERT_TRUE(Cache.find(hashString(Keys[1]), Keys[1]).has_value());
+  std::vector<uint8_t> Bytes = Cache.serializeSnapshot();
+  EXPECT_EQ(Bytes.size(), 829u);
+  EXPECT_EQ(hashToHex(hashVector(Bytes)), "105c349040c8cbfe");
 }
 
 } // namespace

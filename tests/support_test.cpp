@@ -1,5 +1,6 @@
 //===- tests/support_test.cpp - Support library unit tests -----------------===//
 
+#include "support/bytes.h"
 #include "support/hash.h"
 #include "support/leb128.h"
 #include "support/rng.h"
@@ -238,6 +239,125 @@ TEST(Leb128, SequentialDecodes) {
   EXPECT_EQ(B, 300u);
   EXPECT_EQ(C, -42);
   EXPECT_EQ(Offset, Buffer.size());
+}
+
+// --- Byte codec ----------------------------------------------------------------
+
+TEST(Bytes, FieldsAreLittleEndianAndRoundTrip) {
+  std::vector<uint8_t> Out;
+  bytes::Writer W(Out);
+  W.u8(0xab);
+  W.u32(0x01020304u);
+  W.u64(0x1122334455667788ull);
+  W.f64(-2.5);
+  W.f32AsU64(1.0f);
+  W.floats({0.5f, -0.0f});
+  W.string("hi");
+  Out.insert(Out.end(), {7, 8});
+  std::vector<uint8_t> Expected = {
+      0xab, 0x04, 0x03, 0x02, 0x01, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22,
+      0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0xc0, 0x00, 0x00, 0x80,
+      0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3f, 0x00, 0x00, 0x00,
+      0x80, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 'h',  'i',  7,
+      8};
+  EXPECT_EQ(Out, Expected);
+
+  bytes::Reader R(Out);
+  uint8_t A = 0;
+  uint32_t B = 0;
+  uint64_t C = 0;
+  double D = 0;
+  float E = 0;
+  std::vector<float> F(2);
+  std::string G;
+  std::span<const uint8_t> H;
+  ASSERT_TRUE(R.u8(A) && R.u32(B) && R.u64(C) && R.f64(D) && R.f32AsU64(E) &&
+              R.floats(F) && R.string(G, 2) && R.raw(2, H));
+  EXPECT_EQ(A, 0xab);
+  EXPECT_EQ(B, 0x01020304u);
+  EXPECT_EQ(C, 0x1122334455667788ull);
+  EXPECT_EQ(D, -2.5);
+  EXPECT_EQ(E, 1.0f);
+  EXPECT_EQ(F[0], 0.5f);
+  EXPECT_TRUE(std::signbit(F[1]));
+  EXPECT_EQ(G, "hi");
+  EXPECT_EQ(std::vector<uint8_t>(H.begin(), H.end()),
+            (std::vector<uint8_t>{7, 8}));
+  EXPECT_TRUE(R.atEnd());
+  EXPECT_EQ(R.remaining(), 0u);
+  EXPECT_EQ(R.position(), Out.size());
+}
+
+TEST(Bytes, ShortReadsFailWithoutConsuming) {
+  std::vector<uint8_t> Seven(7, 0xff);
+  bytes::Reader R(Seven);
+  uint64_t Wide = 42;
+  EXPECT_FALSE(R.u64(Wide));
+  EXPECT_EQ(Wide, 42u);
+  EXPECT_EQ(R.remaining(), 7u);
+  std::vector<float> Two(2, 3.0f);
+  EXPECT_FALSE(R.floats(Two));
+  EXPECT_EQ(Two[0], 3.0f);
+  std::span<const uint8_t> Span;
+  EXPECT_FALSE(R.raw(8, Span));
+  EXPECT_FALSE(R.raw(UINT64_MAX, Span));
+  uint32_t Narrow = 0;
+  EXPECT_TRUE(R.u32(Narrow));
+  EXPECT_EQ(Narrow, 0xffffffffu);
+  EXPECT_FALSE(R.u32(Narrow));
+  EXPECT_EQ(R.remaining(), 3u);
+  EXPECT_FALSE(R.atEnd());
+
+  // A reader started past the end holds nothing rather than underflowing.
+  bytes::Reader Past(Seven, 100);
+  EXPECT_TRUE(Past.atEnd());
+  EXPECT_EQ(Past.remaining(), 0u);
+}
+
+TEST(Bytes, CappedStringReadTellsShortFromOverCap) {
+  auto Framed = [](uint64_t Length, size_t BodyBytes) {
+    std::vector<uint8_t> Out;
+    bytes::Writer(Out).u64(Length);
+    Out.resize(Out.size() + BodyBytes, 'x');
+    return Out;
+  };
+  std::string Text = "untouched";
+
+  // Fewer than eight bytes: the length field itself is short.
+  std::vector<uint8_t> Stub = {3, 0, 0};
+  bytes::Reader Short(Stub);
+  bytes::StringRead Read = Short.string(Text, 16);
+  EXPECT_FALSE(Read);
+  EXPECT_EQ(Read.Status, bytes::StringStatus::ShortLength);
+  EXPECT_EQ(Short.remaining(), 3u);
+
+  // A length past the cap is OverCap even when the bytes are all there, and
+  // the offending length is reported.
+  std::vector<uint8_t> Long = Framed(5, 5);
+  bytes::Reader OverCap(Long);
+  Read = OverCap.string(Text, 4);
+  EXPECT_EQ(Read.Status, bytes::StringStatus::OverCap);
+  EXPECT_EQ(Read.Length, 5u);
+  EXPECT_EQ(OverCap.position(), 0u);
+
+  // A hostile length is OverCap, not an allocation.
+  std::vector<uint8_t> Huge = Framed(UINT64_MAX, 0);
+  Read = bytes::Reader(Huge).string(Text, 1u << 20);
+  EXPECT_EQ(Read.Status, bytes::StringStatus::OverCap);
+
+  // Under the cap but past the buffer: the body is short.
+  std::vector<uint8_t> Torn = Framed(5, 4);
+  bytes::Reader ShortBody(Torn);
+  Read = ShortBody.string(Text, 16);
+  EXPECT_EQ(Read.Status, bytes::StringStatus::ShortBody);
+  EXPECT_EQ(Read.Length, 5u);
+  EXPECT_EQ(ShortBody.position(), 0u);
+  EXPECT_EQ(Text, "untouched");
+
+  // Exactly at the cap is fine.
+  Read = bytes::Reader(Long).string(Text, 5);
+  EXPECT_TRUE(Read);
+  EXPECT_EQ(Text, "xxxxx");
 }
 
 // --- RNG ---------------------------------------------------------------------
