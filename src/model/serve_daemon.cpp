@@ -4,6 +4,7 @@
 #include "support/bytes.h"
 #include "support/hash.h"
 #include "support/io.h"
+#include "support/leb128.h"
 #include "support/telemetry.h"
 #include "support/thread_pool.h"
 
@@ -26,33 +27,91 @@ PredictionCache::PredictionCache(const Config &Cfg) {
   }
 }
 
+namespace {
+
+/// The token frame shared by the cache key and the watchdog signature:
+/// ULEB128 token count, then each token's ULEB128 byte length and its
+/// bytes. Every token is length-prefixed, so no other token split of the
+/// same bytes (and no token that merely looks like a length) has the same
+/// frame.
+void appendTokenFrame(const std::vector<std::string> &Tokens,
+                      std::string &Out) {
+  encodeULEB128(Tokens.size(), Out);
+  for (const std::string &Tok : Tokens) {
+    encodeULEB128(Tok.size(), Out);
+    Out += Tok;
+  }
+}
+
+// Tripwires for the evidence packers below: a field added to either struct
+// changes its size (on this ABI) and fails the build until the packer
+// covers it and the size here is updated.
+static_assert(sizeof(analysis::ParamEvidence) == 128,
+              "ParamEvidence changed: pack the new field into the cache key");
+static_assert(sizeof(analysis::ReturnEvidence) == 40,
+              "ReturnEvidence changed: pack the new field into the cache key");
+
+/// Every stored ParamEvidence field in declaration order, one ULEB128 each;
+/// CallTargets is its count then each target. usedAsAddress() and
+/// storedThrough() are derived from these, so they stay out.
+void appendEvidence(const analysis::ParamEvidence &E, std::string &Out) {
+  for (uint64_t Field :
+       {uint64_t(E.LowType), uint64_t(E.DirectLoads),
+        uint64_t(E.DirectStores), uint64_t(E.DerivedLoads),
+        uint64_t(E.DerivedStores), uint64_t(E.MinAccessBytes),
+        uint64_t(E.MaxAccessBytes), uint64_t(E.SignExtLoads),
+        uint64_t(E.ZeroExtLoads), uint64_t(E.SignedOps),
+        uint64_t(E.UnsignedOps), uint64_t(E.SignedCmps),
+        uint64_t(E.UnsignedCmps), uint64_t(E.FloatOps),
+        uint64_t(E.Conditions), uint64_t(E.EscapesToCalls),
+        uint64_t(E.EscapesIndirect), uint64_t(E.StoredToMemory),
+        uint64_t(E.MustDirectLoads), uint64_t(E.MustDirectStores),
+        uint64_t(E.MustDerivedLoads), uint64_t(E.MustDerivedStores),
+        uint64_t(E.MustSignedOps), uint64_t(E.MustUnsignedOps),
+        uint64_t(E.DereferencedViaCallee), uint64_t(E.StoredViaCallee)})
+    encodeULEB128(Field, Out);
+  encodeULEB128(E.CallTargets.size(), Out);
+  for (uint32_t Target : E.CallTargets)
+    encodeULEB128(Target, Out);
+  encodeULEB128(E.CallTargetsOverflow, Out);
+}
+
+/// Every ReturnEvidence field in declaration order, one ULEB128 each.
+void appendEvidence(const analysis::ReturnEvidence &E, std::string &Out) {
+  for (uint64_t Field :
+       {uint64_t(E.LowType), uint64_t(E.TotalReturns), uint64_t(E.FromLoad),
+        uint64_t(E.FromComparison), uint64_t(E.FromConst),
+        uint64_t(E.FromCall), uint64_t(E.FromParam), uint64_t(E.FromOther),
+        uint64_t(E.MinLoadBytes), uint64_t(E.MaxLoadBytes),
+        uint64_t(E.SignExtLoads)})
+    encodeULEB128(Field, Out);
+}
+
+} // namespace
+
 std::string PredictionCache::requestKey(const ServeRequest &Request,
                                         uint64_t Budget, unsigned K,
                                         unsigned Width) {
   std::string Key;
-  size_t TokenBytes = 0;
+  size_t FrameBytes = 0;
   for (const std::string &Tok : Request.InputTokens)
-    TokenBytes += Tok.size() + 4;
-  Key.reserve(TokenBytes + 48);
-  // Length-prefixed framing: "3:i32 " can never collide with a different
-  // token split of the same bytes, whatever the tokens contain.
-  for (const std::string &Tok : Request.InputTokens) {
-    Key += std::to_string(Tok.size());
-    Key.push_back(':');
-    Key += Tok;
-    Key.push_back(' ');
-  }
-  // 0x1f (unit separator) cannot appear in a token, so the qualifier block
-  // can never be confused with input text. Everything that changes the
-  // answer is part of the identity: budget, K, width, and the evidence the
-  // gate will apply.
-  Key.push_back('\x1f');
-  Key += "b=" + std::to_string(Budget) + ";k=" + std::to_string(K) +
-         ";w=" + std::to_string(Width);
-  if (Request.Evidence.Param)
-    Key += ";pe=" + analysis::toJson(*Request.Evidence.Param);
-  if (Request.Evidence.Ret)
-    Key += ";re=" + analysis::toJson(*Request.Evidence.Ret);
+    FrameBytes += Tok.size() + 1;
+  Key.reserve(FrameBytes + 64);
+  appendTokenFrame(Request.InputTokens, Key);
+  // Everything that changes the answer is part of the identity: budget, K,
+  // width, and the evidence the gate will apply. The frame above fixes
+  // where the tokens end, and each field below is self-delimiting, so the
+  // key parses back one way only.
+  encodeULEB128(Budget, Key);
+  encodeULEB128(K, Key);
+  encodeULEB128(Width, Key);
+  const analysis::QueryEvidence &Evidence = Request.Evidence;
+  Key.push_back(static_cast<char>((Evidence.Param ? 1 : 0) |
+                                  (Evidence.Ret ? 2 : 0)));
+  if (Evidence.Param)
+    appendEvidence(*Evidence.Param, Key);
+  if (Evidence.Ret)
+    appendEvidence(*Evidence.Ret, Key);
   return Key;
 }
 
@@ -100,13 +159,16 @@ std::optional<CachedPrediction> PredictionCache::find(uint64_t Hash,
       if (E.Key == Key) {
         E.LastUse = ++S.Clock;
         ++S.Stats.Hits;
-        telemetry::counter("serve_cache.hits").add();
+        static decltype(auto) HitCount =
+            telemetry::counter("serve_cache.hits");
+        HitCount.add();
         return E.Value; // Copy: safe to use after the lock drops.
       }
     }
   }
   ++S.Stats.Misses;
-  telemetry::counter("serve_cache.misses").add();
+  static decltype(auto) MissCount = telemetry::counter("serve_cache.misses");
+  MissCount.add();
   return std::nullopt;
 }
 
@@ -526,6 +588,8 @@ ServeDaemon::ServeDaemon(nn::Seq2SeqModel &Model, const Task &BoundTask,
 }
 
 size_t ServeDaemon::shardOf(const ServeRequest &Request) const {
+  if (Engines.size() == 1)
+    return 0;
   // Route by the token sequence alone so byte-identical inputs always land
   // on the same worker — duplicates then replay sequentially in submission
   // order there, which is what makes warm-cache behaviour deterministic.
@@ -537,12 +601,7 @@ size_t ServeDaemon::shardOf(const ServeRequest &Request) const {
 
 std::string ServeDaemon::requestSignature(const ServeRequest &Request) {
   std::string Sig;
-  for (const std::string &Tok : Request.InputTokens) {
-    Sig += std::to_string(Tok.size());
-    Sig.push_back(':');
-    Sig += Tok;
-    Sig.push_back(' ');
-  }
+  appendTokenFrame(Request.InputTokens, Sig);
   return Sig;
 }
 
@@ -555,7 +614,9 @@ uint64_t ServeDaemon::effectiveCost(const ServeRequest &Request) const {
 
 AdmitResult ServeDaemon::submit(DaemonRequest Request) {
   ++Stats.Submitted;
-  telemetry::counter("daemon.submitted").add();
+  static decltype(auto) SubmittedCount =
+      telemetry::counter("daemon.submitted");
+  SubmittedCount.add();
   size_t Shard = shardOf(Request.Request);
   std::string Signature;
   bool TrackPoison = !Stopped && Options.PoisonStrikeLimit > 0;

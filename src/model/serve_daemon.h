@@ -106,10 +106,13 @@ public:
   PredictionCache() : PredictionCache(Config()) {}
   explicit PredictionCache(const Config &Cfg);
 
-  /// Canonical cache key for a request: the token sequence joined with
-  /// spaces, then a 0x1f-separated qualifier block with the effective step
-  /// budget, K, beam width, and the evidence JSON (when present) — every
-  /// knob that can change the answer is part of the identity.
+  /// Canonical cache key for a request, opaque binary: the token frame
+  /// (ULEB128 token count, then each token's ULEB128 length and bytes —
+  /// the same frame as ServeDaemon::requestSignature), the effective step
+  /// budget, K and beam width as ULEB128, a presence byte (bit 0 param
+  /// evidence, bit 1 return evidence), then each present evidence struct's
+  /// fields in declaration order as ULEB128. Every knob that can change the
+  /// answer is part of the identity.
   static std::string requestKey(const ServeRequest &Request, uint64_t Budget,
                                 unsigned K, unsigned Width);
 
@@ -166,8 +169,10 @@ public:
   /// ("serve_cache.shard<i>.bytes" / ".entries") plus the totals.
   void publishGauges() const;
 
-  /// On-disk snapshot format version accepted by loadSnapshot().
-  static constexpr uint64_t SnapshotVersion = 1;
+  /// On-disk snapshot format version accepted by loadSnapshot(). Version 2
+  /// stores binary request keys; a version-1 snapshot holds the old text
+  /// keys, which could never hit, so it loads as Unsupported (a cold start).
+  static constexpr uint64_t SnapshotVersion = 2;
 
 private:
   struct Entry {
@@ -286,10 +291,12 @@ public:
               const DaemonOptions &Options);
 
   /// Worker shard a request routes to: hash of its token sequence modulo
-  /// NumWorkers, so byte-identical inputs always co-locate.
+  /// NumWorkers, so byte-identical inputs always co-locate. A single-worker
+  /// daemon routes to 0 without hashing.
   size_t shardOf(const ServeRequest &Request) const;
 
-  /// Watchdog identity of a request: its length-prefixed token sequence.
+  /// Watchdog identity of a request: its token frame (ULEB128 count, then
+  /// each token's ULEB128 length and bytes), the prefix of its cache key.
   /// Deliberately excludes budget/K/width — poison is a property of the
   /// input, and a retry with a different budget is the same poison.
   static std::string requestSignature(const ServeRequest &Request);

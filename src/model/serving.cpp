@@ -85,7 +85,12 @@ ServingEngine::ServingEngine(nn::Seq2SeqModel &Model, const Task &BoundTask,
 
 bool ServingEngine::submit(ServeRequest Request) {
   ++Stats.Submitted;
-  telemetry::counter("serving.submitted").add();
+  // Per-request metrics are looked up once per process: the registry keeps
+  // metric addresses stable, and decltype(auto) binds a reference (or a
+  // no-op value when telemetry is compiled out).
+  static decltype(auto) SubmittedCount =
+      telemetry::counter("serving.submitted");
+  SubmittedCount.add();
   if (Stopped) {
     ++Stats.Rejected;
     ++Stats.RejectedShutdown;
@@ -101,7 +106,8 @@ bool ServingEngine::submit(ServeRequest Request) {
     return false;
   }
   Queue.push_back(std::move(Request));
-  telemetry::gauge("serving.queue_depth").set(static_cast<int64_t>(Queue.size()));
+  static decltype(auto) QueueDepth = telemetry::gauge("serving.queue_depth");
+  QueueDepth.set(static_cast<int64_t>(Queue.size()));
   return true;
 }
 
@@ -121,7 +127,9 @@ std::vector<ServeResponse> ServingEngine::drain() {
 
 ServeResponse ServingEngine::processOne(const ServeRequest &Request) {
   ++Stats.Submitted;
-  telemetry::counter("serving.submitted").add();
+  static decltype(auto) SubmittedCount =
+      telemetry::counter("serving.submitted");
+  SubmittedCount.add();
   return serveLadder(Request);
 }
 
@@ -148,6 +156,11 @@ std::vector<ServeResponse> ServingEngine::shutdown() {
 }
 
 ServeResponse ServingEngine::serveLadder(const ServeRequest &Request) {
+  static decltype(auto) AnsweredCount = telemetry::counter("serving.answered");
+  static decltype(auto) CachedCount =
+      telemetry::counter("serving.answers.cached");
+  static decltype(auto) CacheHitNs =
+      telemetry::histogram("serving.cache_hit_ns");
   telemetry::Span RequestSpan("serve.request");
   uint64_t RequestStartNs = telemetry::nowNs();
   ServeResponse Response;
@@ -180,10 +193,9 @@ ServeResponse ServingEngine::serveLadder(const ServeRequest &Request) {
           ")";
       ++Stats.Answered;
       ++Stats.CachedAnswers;
-      telemetry::counter("serving.answered").add();
-      telemetry::counter("serving.answers.cached").add();
-      telemetry::histogram("serving.cache_hit_ns")
-          .record(telemetry::nowNs() - RequestStartNs);
+      AnsweredCount.add();
+      CachedCount.add();
+      CacheHitNs.record(telemetry::nowNs() - RequestStartNs);
       return Response;
     }
   }
@@ -328,7 +340,7 @@ ServeResponse ServingEngine::serveLadder(const ServeRequest &Request) {
 
   ++Stats.Answered;
   Stats.DecodeSteps += Response.DecodeStepsUsed;
-  telemetry::counter("serving.answered").add();
+  AnsweredCount.add();
   telemetry::counter("serving.decode_steps").add(Response.DecodeStepsUsed);
   switch (Response.Tier) {
   case PredictionTier::Beam:

@@ -55,6 +55,20 @@ std::vector<Parameter *> Seq2SeqModel::parameters() {
   return Out;
 }
 
+std::vector<std::pair<size_t, size_t>>
+Seq2SeqModel::parameterShapes(const Seq2SeqConfig &Config) {
+  size_t E = Config.EmbedDim, H = Config.HiddenDim;
+  size_t TgtV = Config.TgtVocabSize;
+  std::vector<std::pair<size_t, size_t>> Out = {
+      {Config.SrcVocabSize, E}, {TgtV, E}, {H, 2 * H}};
+  for (int Cell = 0; Cell < 3; ++Cell) // EncoderFwd, EncoderBwd, Decoder.
+    Out.insert(Out.end(), {{E, 4 * H}, {H, 4 * H}, {1, 4 * H}});
+  Out.insert(Out.end(), {{2 * H, H}, {1, H},     // Bridge.
+                         {3 * H, H}, {1, H},     // AttnCombine.
+                         {H, TgtV}, {1, TgtV}}); // Output.
+  return Out;
+}
+
 size_t Seq2SeqModel::numParameters() {
   size_t Total = 0;
   for (Parameter *P : parameters())
@@ -477,8 +491,8 @@ Result<Seq2SeqModel> Seq2SeqModel::deserialize(
       !ReadField(Config.MaxSrcLen) || !ReadField(Config.MaxTgtLen) ||
       !In.u64(Config.Seed) || !In.f32AsU64(Config.DropoutRate))
     return Error(ErrorCode::Truncated, "truncated model config");
-  // Counts drive allocations in the constructor; bound them so a corrupt
-  // header cannot OOM.
+  // Bound every dimension, so the shape and byte arithmetic below cannot
+  // overflow.
   constexpr uint64_t MaxDim = 1u << 24;
   if (Config.SrcVocabSize > MaxDim || Config.TgtVocabSize > MaxDim ||
       Config.EmbedDim > MaxDim || Config.HiddenDim > MaxDim ||
@@ -486,20 +500,38 @@ Result<Seq2SeqModel> Seq2SeqModel::deserialize(
     return Error(ErrorCode::LimitExceeded,
                  "model config dimension exceeds sanity bound");
 
-  Seq2SeqModel Model(Config);
-  std::vector<Parameter *> Params = Model.parameters();
+  // The constructor asserts room for the four special tokens.
+  if (Config.SrcVocabSize <= 4 || Config.TgtVocabSize <= 4)
+    return Error(ErrorCode::Malformed,
+                 "model vocabulary smaller than its special tokens");
+
+  // Walk the parameter stream against the shapes the header implies before
+  // anything is built: a flipped dimension byte then costs a shape check,
+  // not gigabytes of weights. Each blob is one parameter's float bytes.
+  std::vector<std::pair<size_t, size_t>> Shapes = parameterShapes(Config);
   uint64_t NumParams;
-  if (!In.u64(NumParams) || NumParams != Params.size())
+  if (!In.u64(NumParams) || NumParams != Shapes.size())
     return Error(ErrorCode::Malformed, "parameter count mismatch");
-  for (Parameter *P : Params) {
+  std::vector<std::span<const uint8_t>> Blobs(Shapes.size());
+  for (size_t I = 0; I < Shapes.size(); ++I) {
     uint64_t Rows, Cols;
-    if (!In.u64(Rows) || !In.u64(Cols) || Rows != P->Rows || Cols != P->Cols)
+    if (!In.u64(Rows) || !In.u64(Cols) || Rows != Shapes[I].first ||
+        Cols != Shapes[I].second)
       return Error(ErrorCode::Malformed, "parameter shape mismatch");
-    if (!In.floats(P->Value))
+    if (!In.raw(Rows * Cols * sizeof(float), Blobs[I]))
       return Error(ErrorCode::Truncated, "truncated parameter data");
   }
   if (!In.atEnd())
     return Error(ErrorCode::Malformed, "trailing bytes after model data");
+
+  Seq2SeqModel Model(Config);
+  std::vector<Parameter *> Params = Model.parameters();
+  assert(Params.size() == Shapes.size() && "parameterShapes out of step");
+  for (size_t I = 0; I < Params.size(); ++I) {
+    bool Filled = bytes::Reader(Blobs[I]).floats(Params[I]->Value);
+    assert(Filled && "blob length was checked against the shape");
+    (void)Filled;
+  }
   return Model;
 }
 

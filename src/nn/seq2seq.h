@@ -14,6 +14,7 @@
 #include "support/result.h"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace snowwhite {
@@ -105,6 +106,12 @@ public:
   /// All trainable parameters (for the optimizer).
   std::vector<Parameter *> parameters();
   size_t numParameters();
+
+  /// The (rows, cols) of every parameter a model of Config has, in
+  /// parameters() order, computed without building the model: deserialize()
+  /// checks a file against it before it allocates anything.
+  static std::vector<std::pair<size_t, size_t>>
+  parameterShapes(const Seq2SeqConfig &Config);
 
   /// Opt-in int8 inference: post-training-quantizes every dense weight the
   /// beam search touches (the three LSTM cells' gate matrices, the attention

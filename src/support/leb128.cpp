@@ -2,14 +2,28 @@
 
 namespace snowwhite {
 
-void encodeULEB128(uint64_t Value, std::vector<uint8_t> &Out) {
+namespace {
+
+/// The one ULEB128 writer; Out is any byte container of char or uint8_t.
+template <typename ByteContainer>
+void appendULEB128(uint64_t Value, ByteContainer &Out) {
   do {
     uint8_t Byte = Value & 0x7f;
     Value >>= 7;
     if (Value != 0)
       Byte |= 0x80;
-    Out.push_back(Byte);
+    Out.push_back(static_cast<typename ByteContainer::value_type>(Byte));
   } while (Value != 0);
+}
+
+} // namespace
+
+void encodeULEB128(uint64_t Value, std::vector<uint8_t> &Out) {
+  appendULEB128(Value, Out);
+}
+
+void encodeULEB128(uint64_t Value, std::string &Out) {
+  appendULEB128(Value, Out);
 }
 
 void encodeSLEB128(int64_t Value, std::vector<uint8_t> &Out) {

@@ -1,7 +1,8 @@
 //===- support/leb128.h - LEB128 variable-length integer coding ----------===//
 //
 // WebAssembly and DWARF both encode integers as LEB128. This header provides
-// append-style encoders into a byte vector and cursor-style decoders.
+// append-style encoders into a byte vector (or a byte string, for keys built
+// in memory) and cursor-style decoders.
 //
 //===----------------------------------------------------------------------===//
 
@@ -10,12 +11,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace snowwhite {
 
 /// Appends the unsigned LEB128 encoding of Value to Out.
 void encodeULEB128(uint64_t Value, std::vector<uint8_t> &Out);
+
+/// Appends the unsigned LEB128 encoding of Value to Out, one char per byte.
+void encodeULEB128(uint64_t Value, std::string &Out);
 
 /// Appends the signed LEB128 encoding of Value to Out.
 void encodeSLEB128(int64_t Value, std::vector<uint8_t> &Out);

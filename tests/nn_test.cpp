@@ -7,10 +7,42 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <limits>
+#include <new>
+
+// --- Allocation probe --------------------------------------------------------
+//
+// This binary replaces the global operator new so a test can ask how large
+// the largest single allocation was while the probe was armed on its thread.
+// Array and aligned forms route here or to malloc/free, so delete stays
+// consistent.
+
+namespace {
+thread_local bool AllocProbeArmed = false;
+thread_local size_t AllocProbeLargest = 0;
+} // namespace
+
+void *operator new(std::size_t Size) {
+  if (AllocProbeArmed)
+    AllocProbeLargest = std::max(AllocProbeLargest, Size);
+  if (void *P = std::malloc(Size == 0 ? 1 : Size))
+    return P;
+  throw std::bad_alloc();
+}
+
+// GCC checks inlined delete calls against the standard operator new and
+// warns about free(); here both sides are malloc/free.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void *P) noexcept { std::free(P); }
+void operator delete(void *P, std::size_t) noexcept { std::free(P); }
+#pragma GCC diagnostic pop
 
 namespace snowwhite {
 namespace nn {
@@ -759,9 +791,10 @@ TEST(ModelFormat, LoaderVerdictsGolden) {
                                Image.begin() + static_cast<ptrdiff_t>(Len)));
   for (size_t At = 0; At < Image.size(); ++At) {
     // Bytes 1 and 2 of the four shape fields (source/target vocabulary,
-    // embedding and hidden width, bytes 8..39) are left out: flipping them
-    // asks the loader for a model up to 2^24 wide, which it allocates and
-    // initializes before it checks a single parameter.
+    // embedding and hidden width, bytes 8..39) are left out: this golden was
+    // captured when the loader built a model up to 2^24 wide from them
+    // before it checked a single parameter. InflatedHeaderAllocatesNothing
+    // covers those flips.
     if (At >= 8 && At < 40 && (At % 8 == 1 || At % 8 == 2))
       continue;
     std::vector<uint8_t> Flipped = Image;
@@ -769,6 +802,75 @@ TEST(ModelFormat, LoaderVerdictsGolden) {
     Judge(Flipped);
   }
   EXPECT_EQ(hashToHex(hashString(Verdicts)), "b5a316b2a242ed9b");
+}
+
+// The flips LoaderVerdictsGolden leaves out inflate one model dimension by
+// up to 2^24. The loader must refuse each with a typed error after checking
+// the parameter shapes against the header, before it allocates anything
+// the size of a model: no single allocation may exceed the image itself.
+TEST(ModelFormat, InflatedHeaderAllocatesNothing) {
+  std::vector<uint8_t> Image = Seq2SeqModel(formatGoldenConfig()).serialize();
+  for (size_t At : {9, 10, 17, 18, 25, 26, 33, 34}) {
+    std::vector<uint8_t> Flipped = Image;
+    Flipped[At] ^= 0xff;
+    AllocProbeLargest = 0;
+    AllocProbeArmed = true;
+    Result<Seq2SeqModel> Loaded = Seq2SeqModel::deserialize(Flipped);
+    AllocProbeArmed = false;
+    ASSERT_TRUE(Loaded.isErr()) << "byte " << At;
+    EXPECT_EQ(Loaded.error().code(), ErrorCode::Malformed) << "byte " << At;
+    EXPECT_EQ(Loaded.error().message(), "parameter shape mismatch")
+        << "byte " << At;
+    EXPECT_LT(AllocProbeLargest, Image.size()) << "byte " << At;
+  }
+  // The probe itself works: a successful load allocates the weights.
+  AllocProbeLargest = 0;
+  AllocProbeArmed = true;
+  Result<Seq2SeqModel> Good = Seq2SeqModel::deserialize(Image);
+  AllocProbeArmed = false;
+  ASSERT_TRUE(Good.isOk());
+  EXPECT_GT(AllocProbeLargest, 0u);
+}
+
+// An image whose header and first parameter agree on a source vocabulary
+// of 4 (no room for the special tokens) is refused as Malformed; it used to
+// reach the constructor's assert.
+TEST(ModelFormat, TinyVocabularyIsMalformedNotAnAssert) {
+  std::vector<uint8_t> Image = Seq2SeqModel(formatGoldenConfig()).serialize();
+  // Header: magic, then SrcVocabSize at byte 8. Then the parameter count
+  // (byte 72) and SrcEmbed's rows (80), cols (88) and 6 x 2 floats (96..).
+  ASSERT_EQ(Image[8], 6u);
+  ASSERT_EQ(Image[80], 6u);
+  std::vector<uint8_t> Shrunk = Image;
+  Shrunk[8] = 4;
+  Shrunk[80] = 4;
+  Shrunk.erase(Shrunk.begin() + 96 + 4 * 2 * 4,
+               Shrunk.begin() + 96 + 6 * 2 * 4);
+  Result<Seq2SeqModel> Loaded = Seq2SeqModel::deserialize(Shrunk);
+  ASSERT_TRUE(Loaded.isErr());
+  EXPECT_EQ(Loaded.error().code(), ErrorCode::Malformed);
+  EXPECT_EQ(Loaded.error().message(),
+            "model vocabulary smaller than its special tokens");
+}
+
+// parameterShapes() is the loader's picture of the architecture; it must
+// match what the constructor builds, parameter for parameter.
+TEST(ModelFormat, ParameterShapesMatchTheModel) {
+  for (auto [Src, Tgt, Embed, Hidden] :
+       std::vector<std::array<size_t, 4>>{
+           {6, 5, 2, 2}, {9, 7, 3, 5}, {40, 11, 8, 1}, {5, 30, 1, 7}}) {
+    Seq2SeqConfig Config = formatGoldenConfig();
+    Config.SrcVocabSize = Src;
+    Config.TgtVocabSize = Tgt;
+    Config.EmbedDim = Embed;
+    Config.HiddenDim = Hidden;
+    Seq2SeqModel Model(Config);
+    std::vector<std::pair<size_t, size_t>> Built;
+    for (const Parameter *P : Model.parameters())
+      Built.emplace_back(P->Rows, P->Cols);
+    EXPECT_EQ(Seq2SeqModel::parameterShapes(Config), Built)
+        << Src << "x" << Tgt << "x" << Embed << "x" << Hidden;
+  }
 }
 
 } // namespace

@@ -11,6 +11,9 @@
 //    damaged segment (taxonomy-coded in the load report) while the rest of
 //    the snapshot still loads; file-level damage (bad magic, wrong version,
 //    header truncation) fails the whole load with the right ErrorCode;
+//  - a version-1 snapshot (text request keys, which no binary key can hit)
+//    loads as Unsupported and a daemon restarted on it starts cold; the
+//    version-2 image differs from the version-1 golden only in that slot;
 //  - a kill during the snapshot write can never damage the previous
 //    snapshot: saves go through writeFileAtomic, so a stale ".tmp" or a
 //    failed save leaves the old file loadable;
@@ -768,11 +771,10 @@ TEST(DaemonRestart, CadenceSnapshotsDuringSteadyTraffic) {
   EXPECT_TRUE(Daemon.checkStats());
 }
 
-// The snapshot's bytes are pinned by hash: the byte codec underneath may
-// change, the format may not. The fill covers every tier, an entry with no
-// predictions, several predictions per entry, an empty token, and an LRU
+// The fill behind the snapshot goldens. It covers every tier, an entry with
+// no predictions, several predictions per entry, an empty token, and an LRU
 // refresh that reorders one shard.
-TEST(SnapshotFormat, SerializeGolden) {
+std::vector<uint8_t> goldenSnapshotImage() {
   PredictionCache::Config Cfg;
   Cfg.NumShards = 3;
   PredictionCache Cache(Cfg);
@@ -791,10 +793,91 @@ TEST(SnapshotFormat, SerializeGolden) {
   CachedPrediction Replayed = makeValue("f64", -0.125f);
   Replayed.ComputedBy = PredictionTier::Cached;
   Cache.insert(hashString("replayed"), "replayed", Replayed);
-  ASSERT_TRUE(Cache.find(hashString(Keys[1]), Keys[1]).has_value());
-  std::vector<uint8_t> Bytes = Cache.serializeSnapshot();
+  EXPECT_TRUE(Cache.find(hashString(Keys[1]), Keys[1]).has_value());
+  return Cache.serializeSnapshot();
+}
+
+// The snapshot's bytes are pinned by hash: the byte codec underneath may
+// change, the format may not.
+TEST(SnapshotFormat, SerializeGolden) {
+  std::vector<uint8_t> Bytes = goldenSnapshotImage();
+  EXPECT_EQ(Bytes.size(), 829u);
+  EXPECT_EQ(hashToHex(hashVector(Bytes)), "775accd9150efadf");
+}
+
+// Version 2 (binary request keys) moved only the version slot: with it
+// patched back to 1, the image is byte for byte the version-1 golden
+// (829 bytes, 105c349040c8cbfe). The entries are stored as opaque strings,
+// so the key encoding is a property of the writer, not of the framing.
+TEST(SnapshotFormat, Version2MovedOnlyTheVersionSlot) {
+  std::vector<uint8_t> Bytes = goldenSnapshotImage();
+  ASSERT_EQ(PredictionCache::SnapshotVersion, 2u);
+  ASSERT_EQ(readLE(Bytes, 8), 2u);
+  writeLE(Bytes, 8, 1);
   EXPECT_EQ(Bytes.size(), 829u);
   EXPECT_EQ(hashToHex(hashVector(Bytes)), "105c349040c8cbfe");
+}
+
+// A version-1 snapshot holds text keys that no binary key can ever equal:
+// loading its entries would fill the cache with dead weight. It is refused
+// as Unsupported, and a daemon restarted on it starts cold and computes
+// every answer afresh, identical to the answers before the restart.
+TEST(SnapshotFormat, Version1SnapshotIsAColdStart) {
+  ThreadPool::resetGlobal(1);
+  CrashFixture &F = fixture();
+  std::string Path = ::testing::TempDir() + "/crash_v1.snapshot";
+  std::remove(Path.c_str());
+  DaemonOptions Opts;
+  Opts.NumWorkers = 2;
+  Opts.Serving.TopK = 3;
+  Opts.Serving.DefaultStepBudget = 128;
+  Opts.SnapshotPath = Path;
+  // Distinct inputs, so every answer of a cold daemon is computed.
+  std::set<std::vector<std::string>> Distinct;
+  std::vector<std::vector<std::string>> Inputs;
+  for (std::vector<std::string> &Input : sampleInputs(32))
+    if (Inputs.size() < 6 && Distinct.insert(Input).second)
+      Inputs.push_back(std::move(Input));
+  ASSERT_GE(Inputs.size(), 2u);
+  auto SubmitAll = [&Inputs](ServeDaemon &Daemon, uint64_t FirstId) {
+    uint64_t Id = FirstId;
+    for (const std::vector<std::string> &Input : Inputs) {
+      DaemonRequest Request;
+      Request.Request.Id = Id++;
+      Request.Request.InputTokens = Input;
+      EXPECT_EQ(Daemon.submit(std::move(Request)).Outcome,
+                AdmitOutcome::Admitted);
+    }
+    return Daemon.pump();
+  };
+  std::vector<ServeResponse> Before;
+  {
+    ServeDaemon Daemon(*F.Trained.Model, sharedTask(), Opts);
+    Before = SubmitAll(Daemon, 0);
+    Daemon.shutdown();
+  }
+  std::vector<uint8_t> Image = mustRead(Path);
+  ASSERT_GE(Image.size(), 24u);
+  writeLE(Image, 8, 1);
+  ASSERT_TRUE(io::writeFileAtomic(Path, Image).isOk());
+
+  ServeDaemon Daemon(*F.Trained.Model, sharedTask(), Opts);
+  Result<SnapshotLoadReport> Loaded = Daemon.loadSnapshotNow();
+  ASSERT_TRUE(Loaded.isErr());
+  EXPECT_EQ(Loaded.error().code(), ErrorCode::Unsupported);
+  EXPECT_FALSE(Daemon.lastLoadReport().has_value());
+  EXPECT_EQ(Daemon.cache()->totals().Entries, 0u);
+  std::vector<ServeResponse> After = SubmitAll(Daemon, 100);
+  ASSERT_EQ(After.size(), Before.size());
+  EXPECT_EQ(Daemon.engineTotals().CachedAnswers, 0u);
+  for (size_t I = 0; I < After.size(); ++I) {
+    EXPECT_NE(After[I].Outcome, ServeOutcome::OkCached) << "request " << I;
+    EXPECT_TRUE(samePredictions(After[I].Predictions, Before[I].Predictions))
+        << "request " << I;
+  }
+  EXPECT_TRUE(Daemon.checkStats());
+  Daemon.shutdown();
+  ThreadPool::resetGlobal(0);
 }
 
 } // namespace

@@ -6,6 +6,9 @@
 //  - a 64-bit hash collision can never replay another request's answer (the
 //    cache compares full keys byte-wise; colliding entries live side by
 //    side);
+//  - the binary request key is injective: token re-splits, evidence
+//    presence and every stored evidence field change it, and the watchdog
+//    signature is its prefix;
 //  - LRU eviction respects the byte budget;
 //  - per-shard stats sum to the cache/daemon totals (and to the telemetry
 //    registry) at any SNOWWHITE_THREADS, and warm-path responses are
@@ -28,6 +31,7 @@
 
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -195,6 +199,190 @@ TEST(PredictionCache, RequestKeyCoversAnswerAffectingKnobs) {
   ServeRequest Joined;
   Joined.InputTokens = {"i32", "<begin> i32.load", "<end>"};
   EXPECT_NE(PredictionCache::requestKey(Joined, 128, 3, 3), Base);
+}
+
+// The binary key's framing: token boundaries are length-prefixed, so no
+// re-split of the same bytes and no token that looks like a length prefix
+// can alias another request.
+TEST(PredictionCache, RequestKeyFramesTokensUnambiguously) {
+  auto KeyOf = [](std::vector<std::string> Tokens) {
+    ServeRequest Request;
+    Request.InputTokens = std::move(Tokens);
+    return PredictionCache::requestKey(Request, 128, 3, 3);
+  };
+  EXPECT_NE(KeyOf({"ab", "c"}), KeyOf({"a", "bc"}));
+  EXPECT_NE(KeyOf({"abc"}), KeyOf({"ab", "c"}));
+  EXPECT_NE(KeyOf({"ab", ""}), KeyOf({"ab"}));
+  EXPECT_NE(KeyOf({""}), KeyOf({}));
+  // A token made of what a length byte and a second token would look like:
+  // {"a\x01b"} against {"a", "b"} (frame 02 01 'a' 01 'b').
+  EXPECT_NE(KeyOf({std::string("a\x01b", 3)}), KeyOf({"a", "b"}));
+  EXPECT_NE(KeyOf({std::string("\x01\x01" "a\x01" "b", 5)}),
+            KeyOf({"a", "b"}));
+  // A 128-byte token needs a two-byte length; it still frames one token.
+  EXPECT_NE(KeyOf({std::string(128, 'x')}),
+            KeyOf({std::string(1, 'x'), std::string(127, 'x')}));
+}
+
+TEST(PredictionCache, RequestKeySeparatesEvidencePresence) {
+  ServeRequest Bare;
+  Bare.InputTokens = {"i32", "<begin>", "<end>"};
+  ServeRequest ZeroParam = Bare;
+  ZeroParam.Evidence.Param = analysis::ParamEvidence();
+  ServeRequest ZeroRet = Bare;
+  ZeroRet.Evidence.Ret = analysis::ReturnEvidence();
+  ServeRequest ZeroBoth = ZeroParam;
+  ZeroBoth.Evidence.Ret = analysis::ReturnEvidence();
+  // Param evidence whose call targets continue with zeros where a return
+  // evidence would follow: the same run of zero values as ZeroBoth once
+  // the target count and the presence byte are taken away.
+  ServeRequest Spelled = ZeroParam;
+  Spelled.Evidence.Param->CallTargets.assign(11, 0);
+  std::set<std::string> Keys;
+  for (const ServeRequest *R :
+       {&Bare, &ZeroParam, &ZeroRet, &ZeroBoth, &Spelled})
+    Keys.insert(PredictionCache::requestKey(*R, 128, 3, 3));
+  // Absent evidence is not all-zero evidence, and param-only is not
+  // return-only.
+  EXPECT_EQ(Keys.size(), 5u);
+}
+
+// Changing any one stored evidence field changes the key. The derived
+// predicates (usedAsAddress, storedThrough, ...) are functions of these.
+TEST(PredictionCache, RequestKeyCoversEveryEvidenceField) {
+  ServeRequest Base;
+  Base.InputTokens = {"i32", "<begin>", "i32.load", "<end>"};
+  Base.Evidence.Param = analysis::ParamEvidence();
+  Base.Evidence.Param->CallTargets = {3, 9};
+  Base.Evidence.Ret = analysis::ReturnEvidence();
+  std::string BaseKey = PredictionCache::requestKey(Base, 128, 3, 3);
+  auto KeyWithParam = [&](auto Edit) {
+    ServeRequest R = Base;
+    Edit(*R.Evidence.Param);
+    return PredictionCache::requestKey(R, 128, 3, 3);
+  };
+  auto KeyWithRet = [&](auto Edit) {
+    ServeRequest R = Base;
+    Edit(*R.Evidence.Ret);
+    return PredictionCache::requestKey(R, 128, 3, 3);
+  };
+  using analysis::ParamEvidence;
+  using analysis::ReturnEvidence;
+  std::vector<std::pair<const char *, std::string>> Param = {
+      {"LowType", KeyWithParam([](ParamEvidence &E) {
+         E.LowType = wasm::ValType::I64;
+       })},
+      {"DirectLoads",
+       KeyWithParam([](ParamEvidence &E) { E.DirectLoads = 1; })},
+      {"DirectStores",
+       KeyWithParam([](ParamEvidence &E) { E.DirectStores = 1; })},
+      {"DerivedLoads",
+       KeyWithParam([](ParamEvidence &E) { E.DerivedLoads = 1; })},
+      {"DerivedStores",
+       KeyWithParam([](ParamEvidence &E) { E.DerivedStores = 1; })},
+      {"MinAccessBytes",
+       KeyWithParam([](ParamEvidence &E) { E.MinAccessBytes = 1; })},
+      {"MaxAccessBytes",
+       KeyWithParam([](ParamEvidence &E) { E.MaxAccessBytes = 8; })},
+      {"SignExtLoads",
+       KeyWithParam([](ParamEvidence &E) { E.SignExtLoads = 1; })},
+      {"ZeroExtLoads",
+       KeyWithParam([](ParamEvidence &E) { E.ZeroExtLoads = 1; })},
+      {"SignedOps", KeyWithParam([](ParamEvidence &E) { E.SignedOps = 1; })},
+      {"UnsignedOps",
+       KeyWithParam([](ParamEvidence &E) { E.UnsignedOps = 1; })},
+      {"SignedCmps", KeyWithParam([](ParamEvidence &E) { E.SignedCmps = 1; })},
+      {"UnsignedCmps",
+       KeyWithParam([](ParamEvidence &E) { E.UnsignedCmps = 1; })},
+      {"FloatOps", KeyWithParam([](ParamEvidence &E) { E.FloatOps = 1; })},
+      {"Conditions", KeyWithParam([](ParamEvidence &E) { E.Conditions = 1; })},
+      {"EscapesToCalls",
+       KeyWithParam([](ParamEvidence &E) { E.EscapesToCalls = 1; })},
+      {"EscapesIndirect",
+       KeyWithParam([](ParamEvidence &E) { E.EscapesIndirect = 1; })},
+      {"StoredToMemory",
+       KeyWithParam([](ParamEvidence &E) { E.StoredToMemory = 1; })},
+      {"MustDirectLoads",
+       KeyWithParam([](ParamEvidence &E) { E.MustDirectLoads = 1; })},
+      {"MustDirectStores",
+       KeyWithParam([](ParamEvidence &E) { E.MustDirectStores = 1; })},
+      {"MustDerivedLoads",
+       KeyWithParam([](ParamEvidence &E) { E.MustDerivedLoads = 1; })},
+      {"MustDerivedStores",
+       KeyWithParam([](ParamEvidence &E) { E.MustDerivedStores = 1; })},
+      {"MustSignedOps",
+       KeyWithParam([](ParamEvidence &E) { E.MustSignedOps = 1; })},
+      {"MustUnsignedOps",
+       KeyWithParam([](ParamEvidence &E) { E.MustUnsignedOps = 1; })},
+      {"DereferencedViaCallee", KeyWithParam([](ParamEvidence &E) {
+         E.DereferencedViaCallee = true;
+       })},
+      {"StoredViaCallee",
+       KeyWithParam([](ParamEvidence &E) { E.StoredViaCallee = true; })},
+      {"CallTargets order", KeyWithParam([](ParamEvidence &E) {
+         E.CallTargets = {9, 3};
+       })},
+      {"CallTargets count", KeyWithParam([](ParamEvidence &E) {
+         E.CallTargets = {3, 9, 9};
+       })},
+      {"CallTargets value", KeyWithParam([](ParamEvidence &E) {
+         E.CallTargets = {3, 10};
+       })},
+      {"CallTargetsOverflow", KeyWithParam([](ParamEvidence &E) {
+         E.CallTargetsOverflow = true;
+       })},
+  };
+  std::vector<std::pair<const char *, std::string>> Ret = {
+      {"LowType", KeyWithRet([](ReturnEvidence &E) {
+         E.LowType = wasm::ValType::F64;
+       })},
+      {"TotalReturns",
+       KeyWithRet([](ReturnEvidence &E) { E.TotalReturns = 1; })},
+      {"FromLoad", KeyWithRet([](ReturnEvidence &E) { E.FromLoad = 1; })},
+      {"FromComparison",
+       KeyWithRet([](ReturnEvidence &E) { E.FromComparison = 1; })},
+      {"FromConst", KeyWithRet([](ReturnEvidence &E) { E.FromConst = 1; })},
+      {"FromCall", KeyWithRet([](ReturnEvidence &E) { E.FromCall = 1; })},
+      {"FromParam", KeyWithRet([](ReturnEvidence &E) { E.FromParam = 1; })},
+      {"FromOther", KeyWithRet([](ReturnEvidence &E) { E.FromOther = 1; })},
+      {"MinLoadBytes",
+       KeyWithRet([](ReturnEvidence &E) { E.MinLoadBytes = 1; })},
+      {"MaxLoadBytes",
+       KeyWithRet([](ReturnEvidence &E) { E.MaxLoadBytes = 4; })},
+      {"SignExtLoads",
+       KeyWithRet([](ReturnEvidence &E) { E.SignExtLoads = 1; })},
+  };
+  // Every ParamEvidence field but the vector is counted once above, plus
+  // three CallTargets variants; keep the lists in step with the structs.
+  EXPECT_EQ(Param.size(), 27u + 3u);
+  EXPECT_EQ(Ret.size(), 11u);
+  std::set<std::string> Distinct = {BaseKey};
+  for (const auto &[Field, Key] : Param) {
+    EXPECT_NE(Key, BaseKey) << "param field " << Field;
+    Distinct.insert(Key);
+  }
+  for (const auto &[Field, Key] : Ret) {
+    EXPECT_NE(Key, BaseKey) << "return field " << Field;
+    Distinct.insert(Key);
+  }
+  EXPECT_EQ(Distinct.size(), 1 + Param.size() + Ret.size());
+}
+
+// The watchdog signature and the cache key share one token frame: the
+// signature is the key's prefix, whatever the knobs and evidence.
+TEST(PredictionCache, RequestSignatureIsTheKeyPrefix) {
+  ServeRequest Request;
+  Request.InputTokens = {"i32", "<begin>", "local.get", std::string(200, 'z'),
+                         "", "<end>"};
+  Request.Evidence.Param = analysis::ParamEvidence();
+  Request.Evidence.Param->DirectLoads = 300;
+  std::string Sig = ServeDaemon::requestSignature(Request);
+  std::string Key = PredictionCache::requestKey(Request, 1u << 20, 5, 7);
+  ASSERT_LT(Sig.size(), Key.size());
+  EXPECT_EQ(Key.compare(0, Sig.size(), Sig), 0);
+  ServeRequest Other = Request;
+  Other.InputTokens.back() = "<end2>";
+  EXPECT_NE(ServeDaemon::requestSignature(Other), Sig);
 }
 
 // --- Engine-level cache semantics --------------------------------------------

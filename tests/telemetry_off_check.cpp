@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 static_assert(!SNOWWHITE_TELEMETRY_ENABLED,
               "this test must be compiled with telemetry disabled");
 
@@ -34,6 +36,22 @@ TEST(TelemetryOff, InstrumentationSitesAreNoOps) {
   EXPECT_EQ(gauge("serving.queue_depth").value(), 0);
   EXPECT_EQ(histogram("train.batch_ns").count(), 0u);
   EXPECT_EQ(nowNs(), 0u);
+}
+
+// The hot-path spelling: a handle looked up once and kept. Compiled out,
+// decltype(auto) deduces the stub value type, so the handle is a no-op.
+TEST(TelemetryOff, CachedHandlesAreNoOps) {
+  static decltype(auto) Hits = counter("serve_cache.hits");
+  static decltype(auto) Depth = gauge("serving.queue_depth");
+  static decltype(auto) HitNs = histogram("serving.cache_hit_ns");
+  static_assert(!std::is_reference_v<decltype(Hits)>,
+                "compiled out, a cached handle is a value, not a reference");
+  Hits.add();
+  Depth.set(3);
+  HitNs.record(42);
+  EXPECT_EQ(Hits.value(), 0u);
+  EXPECT_EQ(Depth.value(), 0);
+  EXPECT_EQ(HitNs.count(), 0u);
 }
 
 TEST(TelemetryOff, SnapshotReportsOffSentinel) {

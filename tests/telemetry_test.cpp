@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace snowwhite {
@@ -171,6 +172,20 @@ TEST(Spans, OverflowDropsInsteadOfGrowing) {
   EXPECT_NE(metricsJson().find("\"spans_dropped\":3"), std::string::npos);
   R.reset();
   EXPECT_NE(metricsJson().find("\"spans_dropped\":0"), std::string::npos);
+}
+
+// Hot paths keep a handle instead of looking a metric up per event: the
+// handle is the registry's own object, and reset() zeroes it in place.
+TEST(Registry, CachedHandleSurvivesReset) {
+  static decltype(auto) Handle = counter("test.cached_handle");
+  static_assert(std::is_reference_v<decltype(Handle)>,
+                "compiled in, a cached handle refers to the registry entry");
+  EXPECT_EQ(&Handle, &counter("test.cached_handle"));
+  Handle.add(5);
+  Registry::global().reset();
+  EXPECT_EQ(counter("test.cached_handle").value(), 0u);
+  Handle.add(2);
+  EXPECT_EQ(counter("test.cached_handle").value(), 2u);
 }
 
 TEST(Spans, TraceJsonOrdersByStartTime) {
