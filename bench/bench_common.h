@@ -4,6 +4,9 @@
 // comparable across benches. Scale with SNOWWHITE_BENCH_SCALE (default 1.0):
 // e.g. 0.25 for a quick smoke run, 4 for a larger corpus.
 //
+// The robustness tables and snowwhite_fuzz's model modes share a second,
+// much smaller fixture (TinyFixture) and a per-process scratch directory.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef SNOWWHITE_BENCH_COMMON_H
@@ -17,9 +20,14 @@
 #include "model/trainer.h"
 #include "support/str.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
 #include <string>
+#include <system_error>
 
 namespace snowwhite {
 namespace bench {
@@ -102,6 +110,59 @@ baselineAccuracy(const model::Task &Task, unsigned K = 5,
       },
       K, MaxSamples);
 }
+
+/// A tiny task and a training setup fast enough to run many times: an
+/// 8-package corpus, 96 training samples, one epoch of a 12/16-wide model.
+struct TinyFixture {
+  dataset::Dataset Data;
+  std::unique_ptr<model::Task> BoundTask;
+  model::TrainOptions Options;
+};
+
+inline TinyFixture makeTinyFixture(uint64_t Seed) {
+  TinyFixture Out;
+  frontend::CorpusSpec Spec;
+  Spec.NumPackages = 8;
+  Spec.Seed = Seed ^ 0x7e57c0deULL;
+  frontend::Corpus Corpus = frontend::buildCorpus(Spec);
+  Out.Data = dataset::buildDataset(Corpus);
+  model::TaskOptions TaskOpts;
+  TaskOpts.MaxTrainSamples = 96;
+  Out.BoundTask = std::make_unique<model::Task>(Out.Data, TaskOpts);
+  Out.Options.MaxEpochs = 1;
+  Out.Options.BatchSize = 16;
+  Out.Options.EmbedDim = 12;
+  Out.Options.HiddenDim = 16;
+  Out.Options.MaxValidSamples = 32;
+  Out.Options.Seed = Seed;
+  return Out;
+}
+
+/// A directory under the system temp directory named after Stem and this
+/// process's id, so two runs at once never share a file. It is created
+/// empty and removed, with everything in it, when the object is destroyed.
+class ScratchDir {
+public:
+  explicit ScratchDir(const std::string &Stem)
+      : Root(std::filesystem::temp_directory_path() /
+             (Stem + "." + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(Root);
+    std::filesystem::create_directories(Root);
+  }
+  ~ScratchDir() {
+    std::error_code Ignored;
+    std::filesystem::remove_all(Root, Ignored);
+  }
+  ScratchDir(const ScratchDir &) = delete;
+  ScratchDir &operator=(const ScratchDir &) = delete;
+
+  std::string path(const std::string &Name) const {
+    return (Root / Name).string();
+  }
+
+private:
+  std::filesystem::path Root;
+};
 
 inline void printRule(char Fill = '-', int Width = 78) {
   for (int I = 0; I < Width; ++I)

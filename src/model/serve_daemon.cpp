@@ -564,7 +564,7 @@ ServeDaemon::ServeDaemon(nn::Seq2SeqModel &Model, const Task &BoundTask,
                          const DaemonOptions &Opts)
     : Model(Model), BoundTask(BoundTask), Options(Opts) {
   Options.NumWorkers = std::max<size_t>(1, Options.NumWorkers);
-  if (Options.UseCache)
+  if (Options.Cache.ByteBudget > 0)
     Cache = std::make_unique<PredictionCache>(Options.Cache);
   if (Options.WorkerFaults) {
     // One injector per worker, each with an independent deterministic

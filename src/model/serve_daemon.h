@@ -227,11 +227,11 @@ struct DaemonOptions {
   /// Worker shards; each owns a ServingEngine over the shared model.
   size_t NumWorkers = 2;
   /// Per-worker engine options. Cache is overwritten with the daemon's own
-  /// cache (or null when UseCache is false). Faults, if set, is shared
+  /// cache (null when Cache.ByteBudget is 0). Faults, if set, is shared
   /// across workers and is not thread-safe — only use with NumWorkers == 1,
   /// or set WorkerFaults instead for a per-worker injector.
   ServingOptions Serving;
-  bool UseCache = true;
+  /// The daemon's prediction cache; a zero byte budget means no cache.
   PredictionCache::Config Cache;
   /// Token-bucket quota per tenant: a tenant may have at most
   /// TenantCapacity requests admitted between refills; every pump() adds
@@ -382,7 +382,7 @@ private:
   nn::Seq2SeqModel &Model;
   const Task &BoundTask;
   DaemonOptions Options;
-  std::unique_ptr<PredictionCache> Cache; ///< Null when UseCache is false.
+  std::unique_ptr<PredictionCache> Cache; ///< Null at a zero byte budget.
   std::vector<std::unique_ptr<fault::FaultInjector>> WorkerInjectors;
   std::vector<std::unique_ptr<ServingEngine>> Engines;
   std::map<std::string, TenantBucket> Tenants;

@@ -169,19 +169,19 @@ ServeResponse ServingEngine::serveLadder(const ServeRequest &Request) {
   uint64_t Budget =
       Request.StepBudget != 0 ? Request.StepBudget : Options.DefaultStepBudget;
   unsigned K = std::max(1u, Options.TopK);
-  unsigned Width = Options.BeamWidth != 0 ? Options.BeamWidth : K;
   uint64_t GreedyFloor = Model.config().MaxTgtLen;
 
   // --- Tier 0: prediction cache -------------------------------------------
   //
   // Keyed by the full abstracted token sequence plus every knob that can
-  // change the answer (budget, K, width, evidence). The hash only buckets;
-  // membership is decided by byte-wise key comparison inside the cache, so a
-  // 64-bit collision can never replay another request's answer.
+  // change the answer (budget, K, which is also the beam width, evidence).
+  // The hash only buckets; membership is decided by byte-wise key comparison
+  // inside the cache, so a 64-bit collision can never replay another
+  // request's answer.
   std::string CacheKey;
   uint64_t CacheHash = 0;
   if (Options.Cache) {
-    CacheKey = PredictionCache::requestKey(Request, Budget, K, Width);
+    CacheKey = PredictionCache::requestKey(Request, Budget, K, K);
     CacheHash = hashString(CacheKey);
     if (std::optional<CachedPrediction> Hit =
             Options.Cache->find(CacheHash, CacheKey)) {
@@ -210,105 +210,76 @@ ServeResponse ServingEngine::serveLadder(const ServeRequest &Request) {
   bool Exhausted = false;
   bool Faulted = false;
 
-  // --- Tier 1: budgeted beam search ---------------------------------------
+  // --- Tiers 1 and 2: budgeted beam search, then greedy decode ------------
   //
-  // Attempted only when the budget leaves room for a full greedy pass
-  // afterwards (the greedy floor). That reservation is what turns the step
-  // budget into a deadline guarantee: a beam that burns its whole allowance
-  // can still degrade to a model-based answer instead of dropping straight
-  // to the baseline.
-  if (Budget >= 2 * GreedyFloor) {
-    if (Options.Faults && Options.Faults->injectModelFailure()) {
-      Response.Detail = "beam: injected model failure";
-      Faulted = true;
-    } else {
-      uint64_t BeamBudget = Budget - GreedyFloor;
-      nn::Seq2SeqModel::BeamOutcome Beam =
-          Model.predictTopKBudgeted(SourceIds, Width, BeamBudget);
-      Response.DecodeStepsUsed += Beam.DecodeStepsUsed;
-      if (Beam.BudgetExhausted) {
-        ++Stats.BudgetExhaustions;
-        telemetry::counter("serving.budget_exhaustions").add();
-        Exhausted = true;
-      }
-      if (Beam.NonFinite) {
-        Response.Detail = "beam: non-finite logits";
-        Faulted = true;
-      } else if (Beam.BudgetExhausted && Beam.Hypotheses.empty()) {
-        Response.Detail = "beam: step budget exhausted";
-      } else if (Beam.Hypotheses.empty()) {
-        Response.Detail = "beam: no hypotheses";
-      } else {
-        std::vector<TypePrediction> Decoded =
-            decodeHypotheses(BoundTask, Beam.Hypotheses, K);
-        if (Decoded.empty()) {
-          Response.Detail = "beam: only empty hypotheses";
-        } else {
-          size_t Gated =
-              applyEvidenceGate(Decoded, Request.Evidence, ServingGate);
-          Stats.GatedCandidates += Gated;
-          telemetry::counter("serving.gated_candidates").add(Gated);
-          if (Decoded.empty()) {
-            ++Stats.GateDegradations;
-            telemetry::counter("serving.gate_degradations").add();
-            Response.Detail = "beam: all candidates contradicted evidence";
-          } else {
-            Response.Tier = PredictionTier::Beam;
-            Response.Outcome = ServeOutcome::OkBeam;
-            Response.Predictions = std::move(Decoded);
-          }
-        }
-      }
-    }
-  } else if (Budget >= GreedyFloor) {
-    Response.Detail = "beam: budget below beam floor";
-  } else {
+  // A rung runs only when the steps left, less its reserve, cover a greedy
+  // pass (the greedy floor). The beam reserves one floor, which turns the
+  // budget into a deadline: a beam that burns its allowance still degrades
+  // to a model answer, not the baseline. Greedy gets every step left and
+  // takes at most MaxTgtLen (the floor), so it never exhausts its budget.
+  struct Rung {
+    PredictionTier Tier;
+    ServeOutcome Outcome;
+    unsigned Width;
+    uint64_t Reserve;   ///< Steps held back for the rungs below.
+    const char *Prefix; ///< Starts this rung's part of Detail.
+  };
+  const Rung Rungs[] = {
+      {PredictionTier::Beam, ServeOutcome::OkBeam, K, GreedyFloor, "beam: "},
+      {PredictionTier::Greedy, ServeOutcome::OkGreedy, 1, 0, "; greedy: "},
+  };
+  if (Budget < GreedyFloor)
     Response.Detail = "budget below greedy floor";
-  }
-
-  // --- Tier 2: greedy decode ----------------------------------------------
-  if (Response.Predictions.empty() && Budget >= GreedyFloor &&
-      Budget - Response.DecodeStepsUsed >= GreedyFloor) {
-    if (Options.Faults && Options.Faults->injectModelFailure()) {
-      Response.Detail += "; greedy: injected model failure";
-      Faulted = true;
-    } else {
-      nn::Seq2SeqModel::BeamOutcome Greedy = Model.predictTopKBudgeted(
-          SourceIds, 1, Budget - Response.DecodeStepsUsed);
-      Response.DecodeStepsUsed += Greedy.DecodeStepsUsed;
-      if (Greedy.BudgetExhausted) {
+  else
+    for (const Rung &R : Rungs) {
+      auto Fail = [&](const std::string &Why) {
+        Response.Detail += R.Prefix + Why;
+      };
+      uint64_t Left = Budget - Response.DecodeStepsUsed;
+      if (Left < R.Reserve + GreedyFloor) {
+        Fail(std::string("budget below ") + tierName(R.Tier) + " floor");
+        continue;
+      }
+      if (Options.Faults && Options.Faults->injectModelFailure()) {
+        Fail("injected model failure");
+        Faulted = true;
+        continue;
+      }
+      nn::Seq2SeqModel::BeamOutcome Out =
+          Model.predictTopKBudgeted(SourceIds, R.Width, Left - R.Reserve);
+      Response.DecodeStepsUsed += Out.DecodeStepsUsed;
+      if (Out.BudgetExhausted) {
         ++Stats.BudgetExhaustions;
         telemetry::counter("serving.budget_exhaustions").add();
         Exhausted = true;
       }
-      if (Greedy.NonFinite) {
-        Response.Detail += "; greedy: non-finite logits";
-        Faulted = true;
-      } else if (Greedy.Hypotheses.empty()) {
-        Response.Detail += "; greedy: no hypotheses";
-      } else {
-        std::vector<TypePrediction> Decoded =
-            decodeHypotheses(BoundTask, Greedy.Hypotheses, K);
-        if (Decoded.empty()) {
-          Response.Detail += "; greedy: only empty hypotheses";
-        } else {
-          size_t Gated =
-              applyEvidenceGate(Decoded, Request.Evidence, ServingGate);
-          Stats.GatedCandidates += Gated;
-          telemetry::counter("serving.gated_candidates").add(Gated);
-          if (Decoded.empty()) {
-            ++Stats.GateDegradations;
-            telemetry::counter("serving.gate_degradations").add();
-            Response.Detail += "; greedy: all candidates contradicted evidence";
-          } else {
-            Response.Tier = PredictionTier::Greedy;
-            Response.Outcome = ServeOutcome::OkGreedy;
-            Response.Predictions = std::move(Decoded);
-          }
-        }
+      if (Out.NonFinite || Out.Hypotheses.empty()) {
+        Faulted = Faulted || Out.NonFinite;
+        Fail(Out.NonFinite         ? "non-finite logits"
+             : Out.BudgetExhausted ? "step budget exhausted"
+                                   : "no hypotheses");
+        continue;
       }
+      std::vector<TypePrediction> Decoded =
+          decodeHypotheses(BoundTask, Out.Hypotheses, K);
+      if (Decoded.empty()) {
+        Fail("only empty hypotheses");
+        continue;
+      }
+      size_t Gated = applyEvidenceGate(Decoded, Request.Evidence, ServingGate);
+      Stats.GatedCandidates += Gated;
+      telemetry::counter("serving.gated_candidates").add(Gated);
+      if (Decoded.empty()) {
+        ++Stats.GateDegradations;
+        telemetry::counter("serving.gate_degradations").add();
+        Fail("all candidates contradicted evidence");
+        continue;
+      }
+      Response.Tier = R.Tier;
+      Response.Outcome = R.Outcome;
+      Response.Predictions = std::move(Decoded);
+      break;
     }
-  }
 
   // --- Tier 3: statistical baseline ---------------------------------------
   //
@@ -342,24 +313,14 @@ ServeResponse ServingEngine::serveLadder(const ServeRequest &Request) {
   Stats.DecodeSteps += Response.DecodeStepsUsed;
   AnsweredCount.add();
   telemetry::counter("serving.decode_steps").add(Response.DecodeStepsUsed);
-  switch (Response.Tier) {
-  case PredictionTier::Beam:
-    ++Stats.BeamAnswers;
-    telemetry::counter("serving.answers.beam").add();
-    break;
-  case PredictionTier::Greedy:
-    ++Stats.GreedyAnswers;
-    telemetry::counter("serving.answers.greedy").add();
-    break;
-  case PredictionTier::Baseline:
-    ++Stats.BaselineAnswers;
-    telemetry::counter("serving.answers.baseline").add();
-    break;
-  case PredictionTier::Cached:
-    // Unreachable: hits return from tier 0 above.
-    ++Stats.CachedAnswers;
-    break;
-  }
+  // Hits returned from tier 0, so one of the three computing tiers answered.
+  uint64_t ServingStats::*TierAnswers =
+      Response.Tier == PredictionTier::Beam     ? &ServingStats::BeamAnswers
+      : Response.Tier == PredictionTier::Greedy ? &ServingStats::GreedyAnswers
+                                                : &ServingStats::BaselineAnswers;
+  ++(Stats.*TierAnswers);
+  telemetry::counter(std::string("serving.answers.") + tierName(Response.Tier))
+      .add();
   if (Options.Cache) {
     CachedPrediction Computed;
     Computed.ComputedBy = Response.Tier;

@@ -56,10 +56,8 @@ const char *tierName(PredictionTier Tier);
 const char *outcomeCode(ServeOutcome Outcome);
 
 struct ServingOptions {
-  /// Predictions returned per request.
+  /// Predictions returned per request, and the top tier's beam width.
   unsigned TopK = 5;
-  /// Beam width for the top tier (0 = same as TopK).
-  unsigned BeamWidth = 0;
   /// Decode-step budget for requests that do not set their own. This is the
   /// request's whole deadline: all tiers together never exceed it.
   uint64_t DefaultStepBudget = 256;

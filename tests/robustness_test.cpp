@@ -13,13 +13,16 @@
 #include "model/task.h"
 #include "model/trainer.h"
 #include "support/fault.h"
+#include "support/hash.h"
 #include "support/io.h"
 #include "support/telemetry.h"
 #include "support/thread_pool.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -285,6 +288,81 @@ TEST(Serving, StepBudgetDrivesTheLadder) {
   EXPECT_EQ(Full.Tier, PredictionTier::Beam);
   EXPECT_EQ(Full.Outcome, ServeOutcome::OkBeam);
   EXPECT_FALSE(Full.Predictions.empty());
+}
+
+// Pins every field of every ladder response, and the engine's counters, over
+// the test split at four injected failure rates and at budgets below the
+// greedy floor, between the two floors, at the beam floor (the beam runs out
+// of steps) and above both, with and without evidence that contradicts every
+// scalar candidate, and once more with non-finite weights. The hash was
+// captured before the two model rungs shared one loop; a change to the
+// ladder must keep it, not re-capture it.
+TEST(Serving, LadderResponsesGolden) {
+  ServingFixture &Fixture = servingFixture();
+  const Dataset &Data = sharedDataset();
+  const uint64_t Floor = Fixture.Trained.Model->config().MaxTgtLen;
+  analysis::QueryEvidence Deref;
+  Deref.Param.emplace();
+  Deref.Param->DirectLoads = 1;
+  Deref.Param->MustDirectLoads = 1;
+
+  // The last pass injects no faults but poisons the weights, so both model
+  // rungs see non-finite logits.
+  constexpr double NanWeights = -1.0;
+  std::vector<nn::Parameter *> Params = Fixture.Trained.Model->parameters();
+  std::vector<std::vector<float>> Saved;
+  std::string Text;
+  for (double Rate : {0.0, 0.2, 0.5, 0.8, NanWeights}) {
+    if (Rate == NanWeights)
+      for (nn::Parameter *P : Params) {
+        Saved.push_back(P->Value);
+        for (float &V : P->Value)
+          V = std::numeric_limits<float>::quiet_NaN();
+      }
+    fault::FaultConfig Config;
+    Config.Seed = 19;
+    Config.ModelFailureRate = std::max(Rate, 0.0);
+    fault::FaultInjector Injector(Config);
+    ServingOptions Options;
+    Options.TopK = 3;
+    Options.Faults = &Injector;
+    ServingEngine Engine(*Fixture.Trained.Model, sharedTask(), Options);
+    uint64_t Id = 0;
+    for (uint32_t Index : Data.Test)
+      for (uint64_t Budget : {Floor - 1, Floor, 2 * Floor - 1, 2 * Floor,
+                              uint64_t{256}})
+        for (bool Gated : {false, true}) {
+          ServeRequest Request;
+          Request.Id = Id++;
+          Request.InputTokens = Data.Samples[Index].Input;
+          Request.StepBudget = Budget;
+          if (Gated)
+            Request.Evidence = Deref;
+          ServeResponse R = Engine.processOne(Request);
+          Text += std::to_string(R.Id) + " " + outcomeCode(R.Outcome) + " " +
+                  tierName(R.Tier) + " " + std::to_string(R.DecodeStepsUsed) +
+                  " " + (R.Suspect ? "suspect" : "-") + " [" + R.Detail + "]";
+          for (const TypePrediction &P : R.Predictions) {
+            uint32_t Bits;
+            std::memcpy(&Bits, &P.LogProb, sizeof(Bits));
+            Text += " " + std::to_string(Bits);
+            for (const std::string &Token : P.Tokens)
+              Text += " " + Token;
+            Text += ";";
+          }
+          Text += "\n";
+        }
+    const ServingStats &S = Engine.stats();
+    for (uint64_t Count :
+         {S.Submitted, S.Answered, S.BeamAnswers, S.GreedyAnswers,
+          S.BaselineAnswers, S.DecodeSteps, S.GatedCandidates,
+          S.GateDegradations, S.BudgetExhaustions})
+      Text += std::to_string(Count) + " ";
+    Text += "\n";
+  }
+  for (size_t I = 0; I < Params.size(); ++I)
+    Params[I]->Value = Saved[I];
+  EXPECT_EQ(hashToHex(hashString(Text)), "e35a1c4540f3a8a1");
 }
 
 TEST(Serving, AdmissionQueueIsBounded) {

@@ -523,7 +523,7 @@ TEST(DaemonWatchdog, PoisonedSignatureIsDenylistedAndShardRestarted) {
   CrashFixture &F = fixture();
   DaemonOptions Opts;
   Opts.NumWorkers = 1;
-  Opts.UseCache = false; // A cache hit would mask the repeat fault.
+  Opts.Cache.ByteBudget = 0; // No cache: a hit would mask the repeat fault.
   Opts.Serving.TopK = 3;
   Opts.Serving.DefaultStepBudget = 64;
   fault::FaultConfig FaultCfg;

@@ -1132,7 +1132,6 @@ static int commandServe(int argc, char **argv) {
     DaemonOpts.Serving.Faults = nullptr;
     if (FailRate > 0.0)
       DaemonOpts.WorkerFaults = FaultCfg;
-    DaemonOpts.UseCache = CacheBytes > 0;
     DaemonOpts.Cache.ByteBudget = CacheBytes;
     DaemonOpts.TenantCapacity = TenantCapacity;
     DaemonOpts.TenantRefill = TenantRefill;

@@ -20,12 +20,15 @@
 //       per function; any verdict divergence is a hard failure with a replay
 //       line. Surviving modules also run the full analyzer.
 //
-//   snowwhite_fuzz --fault-table [seed]
-//       Fault-injection sweep for EXPERIMENTS.md: corrupt a growing fraction
-//       of a fixed corpus, run the dataset pipeline (lenient mode), train a
-//       small model on the survivors, and print a markdown table of fault
-//       rate vs. quarantined modules vs. surviving samples vs. validation
-//       loss.
+//   snowwhite_fuzz --cfg [iterations] [seed]
+//       CFG fuzz: on every parsed mutant function, buildCfg accepts whatever
+//       the evaluator accepts, bounded path extraction terminates, and
+//       analyzeFunction returns the evaluator's verdict.
+//
+//   snowwhite_fuzz --kernels [iterations] [seed]
+//       Differential fuzz of the tuned GEMM backend against the scalar
+//       reference on random shapes, bit for bit, plus the int8 quantizer's
+//       degenerate-row contract.
 //
 //   snowwhite_fuzz --checkpoints [iterations] [seed]
 //       Checkpoint/model-file mutation fuzz: train a tiny model with
@@ -36,16 +39,6 @@
 //       is corrupted under a freshly recomputed checksum) — never a crash,
 //       never a silent load. A resumed training run over a corrupt
 //       checkpoint must fall back to a fresh start, not abort.
-//
-//   snowwhite_fuzz --recovery-table [seed]
-//       Self-healing sweep for EXPERIMENTS.md: inject NaN gradients into a
-//       growing number of batches and print recovery overhead (batches
-//       skipped, rollbacks, wall-clock delta vs. the clean run).
-//
-//   snowwhite_fuzz --serving-table [seed]
-//       Degradation-ladder sweep for EXPERIMENTS.md: run a request batch at
-//       increasing injected model-failure rates and print per-tier answer
-//       rates (answered must stay 100%).
 //
 //   snowwhite_fuzz --cache [iterations] [seed]
 //       Prediction-cache consistency fuzz: mutate real input-token
@@ -61,15 +54,6 @@
 //       identical verdicts, identical taxonomy errors, bit-identical decoded
 //       modules, and the whole-module byte budget honored at zero.
 //
-//   snowwhite_fuzz --rss-table
-//       Peak-RSS comparison for EXPERIMENTS.md: streamed vs. buffered decode
-//       of a module with a 256 MiB skipped data section.
-//
-//   snowwhite_fuzz --ingest-table [seed]
-//       Journal-overhead sweep for EXPERIMENTS.md: same on-disk corpus
-//       ingested with no journal, per-file and every-8 journal cadences, and
-//       a kill-halfway + resume pair.
-//
 //   snowwhite_fuzz --daemon-chaos [events] [seed]
 //       Serving-daemon chaos storm (default 10000 seeded events): submits
 //       poison-prone requests through per-worker fault injectors, corrupts
@@ -78,6 +62,11 @@
 //       the cross-generation ledger Submitted == Rejected + Answered
 //       exactly, bit-identical cached-tier warm replay after every restart,
 //       and that no shard ends the storm wedged.
+//
+// --checkpoints and --daemon-chaos keep their working files in a directory
+// of their own under the system temp directory (the process id is in its
+// name) and remove it on exit, so runs at once do not collide. The
+// robustness tables of EXPERIMENTS.md come from bench/robustness.
 //
 //===----------------------------------------------------------------------===//
 
@@ -103,13 +92,11 @@
 #include "wasm/validate.h"
 #include "wasm/writer.h"
 
-#include <sys/resource.h>
+#include "bench_common.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -413,79 +400,13 @@ int runCfgFuzz(uint64_t Iterations, uint64_t Seed) {
   return 0;
 }
 
-int runFaultTable(uint64_t Seed) {
-  frontend::CorpusSpec Spec;
-  Spec.NumPackages = 30;
-  Spec.Seed = 42;
-  const double Rates[] = {0.0, 0.05, 0.10, 0.20, 0.40};
-
-  std::printf("| fault rate | corrupted | quarantined | samples | "
-              "valid loss |\n");
-  std::printf("|-----------:|----------:|------------:|--------:|"
-              "-----------:|\n");
-  for (double Rate : Rates) {
-    frontend::Corpus Corpus = frontend::buildCorpus(Spec);
-    fault::FaultConfig Config;
-    Config.Seed = hashCombine(Seed, static_cast<uint64_t>(Rate * 1000));
-    fault::FaultInjector Injector(Config);
-    Rng Pick(hashCombine(Seed, 0x9c0ffee));
-    uint64_t Corrupted = 0;
-    for (frontend::Package &Pkg : Corpus.Packages)
-      for (frontend::CompiledObject &Object : Pkg.Objects)
-        if (Rate > 0.0 && Pick.nextBool(Rate)) {
-          Injector.corrupt(Object.Bytes);
-          ++Corrupted;
-        }
-
-    dataset::Dataset Data = dataset::buildDataset(Corpus);
-    model::Task Task(Data, model::TaskOptions{});
-    model::TrainOptions Options;
-    Options.MaxEpochs = 1;
-    Options.Verbose = false;
-    model::TrainResult Trained = model::trainModel(Task, Options);
-    std::printf("| %9.0f%% | %9llu | %11llu | %7zu | %10.4f |\n",
-                Rate * 100.0, static_cast<unsigned long long>(Corrupted),
-                static_cast<unsigned long long>(Data.Quarantine.total()),
-                Data.Samples.size(), Trained.BestValidLoss);
-    std::fflush(stdout);
-  }
-  return 0;
-}
-
-/// Small shared fixture for the checkpoint/recovery/serving modes: a tiny
-/// task and a training configuration fast enough to run repeatedly.
-struct TinyTrainFixture {
-  dataset::Dataset Data;
-  std::unique_ptr<model::Task> BoundTask;
-  model::TrainOptions Options;
-};
-
-TinyTrainFixture makeTinyFixture(uint64_t Seed) {
-  TinyTrainFixture Out;
-  frontend::CorpusSpec Spec;
-  Spec.NumPackages = 8;
-  Spec.Seed = Seed ^ 0x7e57c0deULL;
-  frontend::Corpus Corpus = frontend::buildCorpus(Spec);
-  Out.Data = dataset::buildDataset(Corpus);
-  model::TaskOptions TaskOpts;
-  TaskOpts.MaxTrainSamples = 96;
-  Out.BoundTask = std::make_unique<model::Task>(Out.Data, TaskOpts);
-  Out.Options.MaxEpochs = 1;
-  Out.Options.BatchSize = 16;
-  Out.Options.EmbedDim = 12;
-  Out.Options.HiddenDim = 16;
-  Out.Options.MaxValidSamples = 32;
-  Out.Options.Seed = Seed;
-  return Out;
-}
-
 int runCheckpointFuzz(uint64_t Iterations, uint64_t Seed) {
   // Produce one genuine model file and one genuine trainer checkpoint.
-  TinyTrainFixture Fixture = makeTinyFixture(Seed);
-  std::string Dir = std::filesystem::temp_directory_path().string();
-  std::string CkptPath = Dir + "/snowwhite_fuzz.ckpt";
-  std::string ModelPath = Dir + "/snowwhite_fuzz.model";
-  std::string MutantPath = Dir + "/snowwhite_fuzz.mutant";
+  bench::TinyFixture Fixture = bench::makeTinyFixture(Seed);
+  bench::ScratchDir Scratch("snowwhite_fuzz");
+  std::string CkptPath = Scratch.path("ckpt");
+  std::string ModelPath = Scratch.path("model");
+  std::string MutantPath = Scratch.path("mutant");
   Fixture.Options.CheckpointPath = CkptPath;
   Fixture.Options.CheckpointEveryBatches = 2;
   model::TrainResult Trained =
@@ -614,93 +535,6 @@ int runCheckpointFuzz(uint64_t Iterations, uint64_t Seed) {
     std::printf(" %s=%llu", Code.c_str(),
                 static_cast<unsigned long long>(Count));
   std::printf("\n");
-  std::remove(MutantPath.c_str());
-  std::remove(CkptPath.c_str());
-  std::remove(ModelPath.c_str());
-  return 0;
-}
-
-int runRecoveryTable(uint64_t Seed) {
-  TinyTrainFixture Fixture = makeTinyFixture(Seed);
-  Fixture.Options.Recovery.RollbackAfterConsecutive = 2;
-
-  // Clean reference run for the wall-clock delta.
-  model::TrainResult Clean =
-      model::trainModel(*Fixture.BoundTask, Fixture.Options);
-
-  std::printf("| poisoned batches | skipped | rollbacks | lr backoffs | "
-              "diverged | wall-clock delta |\n");
-  std::printf("|-----------------:|--------:|----------:|------------:|"
-              ":--------:|-----------------:|\n");
-  const std::vector<std::vector<uint64_t>> PoisonSets = {
-      {}, {3}, {2, 5}, {2, 3, 4}, {1, 2, 3, 4, 5, 6}};
-  for (const std::vector<uint64_t> &Poison : PoisonSets) {
-    fault::FaultConfig Config;
-    Config.Seed = Seed;
-    Config.PoisonGradBatches = Poison;
-    fault::FaultInjector Injector(Config);
-    model::TrainOptions Options = Fixture.Options;
-    Options.Faults = &Injector;
-    model::TrainResult Run = model::trainModel(*Fixture.BoundTask, Options);
-    std::printf("| %16zu | %7zu | %9zu | %11zu | %8s | %15.2fs |\n",
-                Poison.size(), Run.Recovery.BatchesSkipped,
-                Run.Recovery.Rollbacks, Run.Recovery.LrBackoffs,
-                Run.Recovery.Diverged ? "yes" : "no",
-                Run.TrainSeconds - Clean.TrainSeconds);
-    std::fflush(stdout);
-  }
-  return 0;
-}
-
-int runServingTable(uint64_t Seed) {
-  TinyTrainFixture Fixture = makeTinyFixture(Seed);
-  model::TrainResult Trained =
-      model::trainModel(*Fixture.BoundTask, Fixture.Options);
-
-  std::printf("| model failure rate | requests | answered | beam | greedy | "
-              "baseline |\n");
-  std::printf("|-------------------:|---------:|---------:|-----:|-------:|"
-              "---------:|\n");
-  for (double Rate : {0.0, 0.2, 0.5, 0.8}) {
-    fault::FaultConfig Config;
-    Config.Seed = Seed;
-    Config.ModelFailureRate = Rate;
-    fault::FaultInjector Injector(Config);
-    model::ServingOptions Opts;
-    Opts.TopK = 3;
-    Opts.DefaultStepBudget = 128;
-    Opts.QueueCapacity = 256;
-    if (Rate > 0.0)
-      Opts.Faults = &Injector;
-    model::ServingEngine Engine(*Trained.Model, *Fixture.BoundTask, Opts);
-    size_t Requests = 0;
-    for (uint32_t Index : Fixture.Data.Test) {
-      if (Requests >= 64)
-        break;
-      model::ServeRequest Request;
-      Request.Id = Requests++;
-      Request.InputTokens = Fixture.Data.Samples[Index].Input;
-      Engine.submit(std::move(Request));
-    }
-    std::vector<model::ServeResponse> Responses = Engine.drain();
-    for (const model::ServeResponse &Response : Responses)
-      if (Response.Predictions.empty()) {
-        std::fprintf(stderr, "FAIL: request %llu got no prediction\n",
-                     static_cast<unsigned long long>(Response.Id));
-        return 1;
-      }
-    const model::ServingStats &Stats = Engine.stats();
-    std::printf("| %17.0f%% | %8zu | %7.0f%% | %4llu | %6llu | %8llu |\n",
-                Rate * 100.0, Requests,
-                Requests == 0
-                    ? 0.0
-                    : 100.0 * static_cast<double>(Stats.Answered) /
-                          static_cast<double>(Requests),
-                static_cast<unsigned long long>(Stats.BeamAnswers),
-                static_cast<unsigned long long>(Stats.GreedyAnswers),
-                static_cast<unsigned long long>(Stats.BaselineAnswers));
-    std::fflush(stdout);
-  }
   return 0;
 }
 
@@ -711,7 +545,7 @@ int runServingTable(uint64_t Seed) {
 /// kill-during-load shutdown at the end must account for every queued
 /// request.
 int runCacheFuzz(uint64_t Iterations, uint64_t Seed) {
-  TinyTrainFixture Fixture = makeTinyFixture(Seed);
+  bench::TinyFixture Fixture = bench::makeTinyFixture(Seed);
   model::TrainResult Trained =
       model::trainModel(*Fixture.BoundTask, Fixture.Options);
 
@@ -967,179 +801,6 @@ int runStreamingFuzz(uint64_t Iterations, uint64_t Seed) {
   return 0;
 }
 
-/// Peak-RSS comparison for EXPERIMENTS.md: decode a module carrying one
-/// giant (skipped) data section, streamed first — ru_maxrss only ratchets
-/// up, so measuring the streamed path before the buffered one makes both
-/// numbers honest. The streamed decode's delta stays near the configured
-/// window; the buffered decode must materialize the whole file.
-int runRssTable() {
-  constexpr size_t PayloadBytes = 256u << 20; // 256 MiB data section.
-  std::string Path =
-      std::filesystem::temp_directory_path().string() + "/snowwhite_rss.wasm";
-  {
-    // Written chunk-wise on purpose: materializing the payload in one
-    // vector here would ratchet ru_maxrss up before either measurement.
-    std::vector<uint8_t> Header = {0x00, 'a', 's', 'm', 1, 0, 0, 0};
-    Header.push_back(11); // data section: skipped, streamed through
-    uint64_t Size = PayloadBytes;
-    while (Size >= 0x80) {
-      Header.push_back(static_cast<uint8_t>(Size) | 0x80);
-      Size >>= 7;
-    }
-    Header.push_back(static_cast<uint8_t>(Size));
-    std::FILE *Out = std::fopen(Path.c_str(), "wb");
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot write %s\n", Path.c_str());
-      return 1;
-    }
-    std::vector<uint8_t> Chunk(1u << 20, 0xAA);
-    bool Ok = std::fwrite(Header.data(), 1, Header.size(), Out) ==
-              Header.size();
-    for (size_t Written = 0; Ok && Written < PayloadBytes;
-         Written += Chunk.size())
-      Ok = std::fwrite(Chunk.data(), 1, Chunk.size(), Out) == Chunk.size();
-    Ok = std::fclose(Out) == 0 && Ok;
-    if (!Ok) {
-      std::fprintf(stderr, "error: cannot write %s\n", Path.c_str());
-      return 1;
-    }
-  }
-  auto MaxRssKb = []() {
-    struct rusage Usage;
-    getrusage(RUSAGE_SELF, &Usage);
-    return static_cast<uint64_t>(Usage.ru_maxrss);
-  };
-
-  std::printf("| decode path | file | peak-RSS delta |\n");
-  std::printf("|-------------|-----:|---------------:|\n");
-  uint64_t Before = MaxRssKb();
-  {
-    io::FileByteSource Source(Path, 64 * 1024);
-    Result<wasm::Module> Mod = wasm::readModuleStreamed(Source);
-    if (Mod.isErr()) {
-      std::fprintf(stderr, "error: streamed decode failed: %s\n",
-                   Mod.error().message().c_str());
-      return 1;
-    }
-  }
-  std::printf("| streamed (64 KiB window) | %zu MiB | %llu KiB |\n",
-              PayloadBytes >> 20,
-              static_cast<unsigned long long>(MaxRssKb() - Before));
-  Before = MaxRssKb();
-  {
-    Result<std::vector<uint8_t>> Bytes = io::readFileBytes(Path);
-    if (Bytes.isErr()) {
-      std::fprintf(stderr, "error: buffered read failed\n");
-      return 1;
-    }
-    Result<wasm::Module> Mod = wasm::readModule(*Bytes);
-    if (Mod.isErr()) {
-      std::fprintf(stderr, "error: buffered decode failed: %s\n",
-                   Mod.error().message().c_str());
-      return 1;
-    }
-  }
-  std::printf("| buffered (whole file) | %zu MiB | %llu KiB |\n",
-              PayloadBytes >> 20,
-              static_cast<unsigned long long>(MaxRssKb() - Before));
-  std::filesystem::remove(Path);
-  return 0;
-}
-
-/// Journal-overhead sweep for EXPERIMENTS.md: the same corpus ingested
-/// without a journal, with one at two cadences, and as a kill + resume pair.
-int runIngestTable(uint64_t Seed) {
-  // Lay a synthetic corpus out on disk the way ingest sees real ones.
-  frontend::CorpusSpec Spec;
-  Spec.NumPackages = 60;
-  Spec.Seed = Seed ^ 0x16e57;
-  frontend::Corpus Corpus = frontend::buildCorpus(Spec);
-  std::string Root = std::filesystem::temp_directory_path().string() +
-                     "/snowwhite_ingest_table";
-  std::filesystem::remove_all(Root);
-  for (const frontend::Package &Pkg : Corpus.Packages) {
-    std::string Dir = Root + "/" + Pkg.Name;
-    std::filesystem::create_directories(Dir);
-    for (size_t O = 0; O < Pkg.Objects.size(); ++O)
-      if (io::writeFileAtomic(Dir + "/obj" + std::to_string(O) + ".wasm",
-                              Pkg.Objects[O].Bytes)
-              .isErr()) {
-        std::fprintf(stderr, "error: cannot write corpus\n");
-        return 1;
-      }
-  }
-  Result<std::vector<dataset::IngestFile>> Files =
-      dataset::discoverWasmFiles(Root);
-  if (Files.isErr()) {
-    std::fprintf(stderr, "error: %s\n", Files.error().message().c_str());
-    return 1;
-  }
-  std::string JournalPath = Root + "/ingest.journal";
-
-  auto TimedRun = [&](const dataset::StreamIngestOptions &Options,
-                      double &Seconds)
-      -> Result<dataset::StreamIngestResult> {
-    auto Start = std::chrono::steady_clock::now();
-    Result<dataset::StreamIngestResult> Out =
-        dataset::streamIngest(*Files, Options);
-    Seconds = std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - Start)
-                  .count();
-    return Out;
-  };
-
-  std::printf("| variant | files | wall | journal publishes | replayed |\n");
-  std::printf("|---------|------:|-----:|------------------:|---------:|\n");
-  auto Row = [&](const char *Name, const dataset::StreamIngestResult &R,
-                 double Seconds) {
-    std::printf("| %s | %zu | %.3fs | %llu | %llu |\n", Name, Files->size(),
-                Seconds,
-                static_cast<unsigned long long>(R.JournalPublishes),
-                static_cast<unsigned long long>(R.FilesReplayed));
-    std::fflush(stdout);
-  };
-
-  double Seconds = 0.0;
-  dataset::StreamIngestOptions Options;
-  Result<dataset::StreamIngestResult> R = TimedRun(Options, Seconds);
-  if (R.isErr())
-    return 1;
-  Row("no journal", *R, Seconds);
-
-  for (uint64_t Every : {1ull, 8ull}) {
-    std::filesystem::remove(JournalPath);
-    Options.JournalPath = JournalPath;
-    Options.JournalEvery = Every;
-    R = TimedRun(Options, Seconds);
-    if (R.isErr())
-      return 1;
-    Row(Every == 1 ? "journal, every file" : "journal, every 8", *R,
-        Seconds);
-  }
-
-  // Kill halfway, then measure the resumed run (replay + remainder).
-  std::filesystem::remove(JournalPath);
-  fault::FaultConfig CrashConfig;
-  CrashConfig.CrashAtTick = Files->size() / 2;
-  fault::FaultInjector CrashFaults(CrashConfig);
-  Options.JournalEvery = 8;
-  Options.Faults = &CrashFaults;
-  R = TimedRun(Options, Seconds);
-  if (R.isErr() || !R->Crashed) {
-    std::fprintf(stderr, "error: injected crash did not fire\n");
-    return 1;
-  }
-  Options.Faults = nullptr;
-  Options.Resume = true;
-  R = TimedRun(Options, Seconds);
-  if (R.isErr())
-    return 1;
-  Row("killed halfway + resume", *R, Seconds);
-
-  std::filesystem::remove_all(Root);
-  return 0;
-}
-
 /// Daemon chaos fuzz: one long-lived serving daemon under a seeded storm of
 /// hostile events — poison-prone requests through per-worker fault
 /// injectors, snapshot corruption round-trips, and kill-and-restart cycles
@@ -1153,14 +814,13 @@ int runIngestTable(uint64_t Seed) {
 ///     taxonomy-coded error, segment-level damage a quarantine count;
 ///   * no wedged shards: after the storm every shard still answers.
 int runDaemonChaos(uint64_t Events, uint64_t Seed) {
-  TinyTrainFixture Fixture = makeTinyFixture(Seed);
+  bench::TinyFixture Fixture = bench::makeTinyFixture(Seed);
   model::TrainResult Trained =
       model::trainModel(*Fixture.BoundTask, Fixture.Options);
 
-  std::string Dir = std::filesystem::temp_directory_path().string();
-  std::string SnapshotPath = Dir + "/snowwhite_chaos.snapshot";
-  std::string ScratchPath = Dir + "/snowwhite_chaos.scratch";
-  std::filesystem::remove(SnapshotPath);
+  bench::ScratchDir Scratch("snowwhite_chaos");
+  std::string SnapshotPath = Scratch.path("snapshot");
+  std::string ScratchPath = Scratch.path("scratch");
 
   model::DaemonOptions Opts;
   Opts.NumWorkers = 2;
@@ -1456,8 +1116,6 @@ int runDaemonChaos(uint64_t Events, uint64_t Seed) {
     return 1;
   }
 
-  std::filesystem::remove(SnapshotPath);
-  std::filesystem::remove(ScratchPath);
   std::printf("daemon chaos: %llu events, submitted=%llu rejected=%llu "
               "answered=%llu restarts=%llu warm-replays=%llu "
               "replayed=%llu corrupt-loads=%llu quarantined-segments=%llu "
@@ -1616,68 +1274,39 @@ int runKernelFuzz(uint64_t Iterations, uint64_t Seed) {
 } // namespace
 
 int main(int argc, char **argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--analysis") == 0) {
-    uint64_t Iterations =
-        argc > 2 ? static_cast<uint64_t>(std::atoll(argv[2])) : 10000;
-    uint64_t Seed = argc > 3 ? static_cast<uint64_t>(std::atoll(argv[3])) : 1;
-    return runAnalysisFuzz(Iterations, Seed);
+  // Each mode's flag, default iteration (or event) count and runner; no
+  // flag runs the read-path fuzz.
+  struct Mode {
+    const char *Flag;
+    uint64_t DefaultCount;
+    int (*Run)(uint64_t, uint64_t);
+  };
+  const Mode Modes[] = {
+      {"--analysis", 10000, runAnalysisFuzz},
+      {"--cfg", 10000, runCfgFuzz},
+      {"--kernels", 10000, runKernelFuzz},
+      {"--checkpoints", 400, runCheckpointFuzz},
+      {"--cache", 60, runCacheFuzz},
+      {"--streaming", 10000, runStreamingFuzz},
+      {"--daemon-chaos", 10000, runDaemonChaos},
+  };
+  Mode Chosen = {"", 10000, runFuzz};
+  int Arg = 1;
+  if (argc > 1 && std::strncmp(argv[1], "--", 2) == 0) {
+    const Mode *Found = nullptr;
+    for (const Mode &M : Modes)
+      if (std::strcmp(argv[1], M.Flag) == 0)
+        Found = &M;
+    if (!Found) {
+      std::fprintf(stderr, "error: unknown mode %s\n", argv[1]);
+      return 2;
+    }
+    Chosen = *Found;
+    Arg = 2;
   }
-  if (argc > 1 && std::strcmp(argv[1], "--cfg") == 0) {
-    uint64_t Iterations =
-        argc > 2 ? static_cast<uint64_t>(std::atoll(argv[2])) : 10000;
-    uint64_t Seed = argc > 3 ? static_cast<uint64_t>(std::atoll(argv[3])) : 1;
-    return runCfgFuzz(Iterations, Seed);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--kernels") == 0) {
-    uint64_t Iterations =
-        argc > 2 ? static_cast<uint64_t>(std::atoll(argv[2])) : 10000;
-    uint64_t Seed = argc > 3 ? static_cast<uint64_t>(std::atoll(argv[3])) : 1;
-    return runKernelFuzz(Iterations, Seed);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--fault-table") == 0) {
-    uint64_t Seed = argc > 2 ? static_cast<uint64_t>(std::atoll(argv[2])) : 1;
-    return runFaultTable(Seed);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--checkpoints") == 0) {
-    uint64_t Iterations =
-        argc > 2 ? static_cast<uint64_t>(std::atoll(argv[2])) : 400;
-    uint64_t Seed = argc > 3 ? static_cast<uint64_t>(std::atoll(argv[3])) : 1;
-    return runCheckpointFuzz(Iterations, Seed);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--recovery-table") == 0) {
-    uint64_t Seed = argc > 2 ? static_cast<uint64_t>(std::atoll(argv[2])) : 1;
-    return runRecoveryTable(Seed);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--serving-table") == 0) {
-    uint64_t Seed = argc > 2 ? static_cast<uint64_t>(std::atoll(argv[2])) : 1;
-    return runServingTable(Seed);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--cache") == 0) {
-    uint64_t Iterations =
-        argc > 2 ? static_cast<uint64_t>(std::atoll(argv[2])) : 60;
-    uint64_t Seed = argc > 3 ? static_cast<uint64_t>(std::atoll(argv[3])) : 1;
-    return runCacheFuzz(Iterations, Seed);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--streaming") == 0) {
-    uint64_t Iterations =
-        argc > 2 ? static_cast<uint64_t>(std::atoll(argv[2])) : 10000;
-    uint64_t Seed = argc > 3 ? static_cast<uint64_t>(std::atoll(argv[3])) : 1;
-    return runStreamingFuzz(Iterations, Seed);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--rss-table") == 0)
-    return runRssTable();
-  if (argc > 1 && std::strcmp(argv[1], "--ingest-table") == 0) {
-    uint64_t Seed = argc > 2 ? static_cast<uint64_t>(std::atoll(argv[2])) : 1;
-    return runIngestTable(Seed);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--daemon-chaos") == 0) {
-    uint64_t Events =
-        argc > 2 ? static_cast<uint64_t>(std::atoll(argv[2])) : 10000;
-    uint64_t Seed = argc > 3 ? static_cast<uint64_t>(std::atoll(argv[3])) : 1;
-    return runDaemonChaos(Events, Seed);
-  }
-  uint64_t Iterations =
-      argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) : 10000;
-  uint64_t Seed = argc > 2 ? static_cast<uint64_t>(std::atoll(argv[2])) : 1;
-  return runFuzz(Iterations, Seed);
+  uint64_t Count = argc > Arg ? static_cast<uint64_t>(std::atoll(argv[Arg]))
+                              : Chosen.DefaultCount;
+  uint64_t Seed =
+      argc > Arg + 1 ? static_cast<uint64_t>(std::atoll(argv[Arg + 1])) : 1;
+  return Chosen.Run(Count, Seed);
 }
