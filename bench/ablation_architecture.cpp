@@ -75,16 +75,11 @@ ArchResult runTransformer(const Task &T) {
                          std::chrono::steady_clock::now() - Start)
                          .count();
   Out.Parameters = Model.numParameters();
-  Out.Report = eval::evaluateAccuracy(
-      T,
-      [&](const EncodedSample &Sample, unsigned K) {
-        std::vector<std::vector<std::string>> Predictions;
-        for (const nn::Hypothesis &Hyp :
-             Model.predictTopK(Sample.Source, K))
-          Predictions.push_back(T.decodeTarget(Hyp.Tokens));
-        return Predictions;
-      },
-      5, 400);
+  Out.Report = bench::accuracyOf(
+      T, 5, 400, [&](const EncodedSample &Sample, unsigned K) {
+        return decodeCandidates(T, Model.predictTopK(Sample.Source, K), K,
+                                /*Deduplicate=*/false);
+      });
   return Out;
 }
 

@@ -31,8 +31,8 @@
 #include "bench_common.h"
 
 #include "analysis/gate.h"
-#include "typelang/type.h"
 
+#include <algorithm>
 #include <cstdio>
 
 using namespace snowwhite;
@@ -96,38 +96,27 @@ GateStats measureGate(Arm &A, const analysis::GateOptions &Options) {
     const analysis::QueryEvidence &Evidence =
         A.Data.Samples[Sample.DatasetIndex].Evidence;
 
-    auto IsConsistent = [&](const TypePrediction &P) {
-      Result<typelang::Type> Parsed = typelang::parseType(P.Tokens);
-      if (Parsed.isErr())
-        return true; // Unparseable output is the decoder's problem, not ours.
-      return analysis::checkConsistency(*Parsed, Evidence, Options) ==
-             analysis::GateVerdict::Consistent;
-    };
-
     bool RawRight =
         !Candidates.empty() && Candidates[0].Tokens == Sample.TargetTokens;
     S.RawTop1Right += RawRight;
 
     // The gated answer: first consistent beam candidate, else the baseline
     // top-1 (which is never gated — every request is answered).
-    const TypePrediction *Answer = nullptr;
-    for (const TypePrediction &P : Candidates)
-      if (IsConsistent(P)) {
-        Answer = &P;
-        break;
-      }
-    if (!Candidates.empty() && Answer != &Candidates[0]) {
+    auto Answer = std::find_if(
+        Candidates.begin(), Candidates.end(), [&](const TypePrediction &P) {
+          return gatePrediction(P, Evidence, Options) ==
+                 analysis::GateVerdict::Consistent;
+        });
+    if (Answer != Candidates.begin()) {
       ++S.Gated;
       if (!RawRight)
         ++S.GatedWrong;
     }
-    std::vector<TypePrediction> Fallback;
-    if (!Answer) {
-      Fallback = Baseline.predict(Sample.LowLevel, 1);
-      if (!Fallback.empty())
-        Answer = &Fallback[0];
+    if (Answer == Candidates.end()) {
+      Candidates = Baseline.predict(Sample.LowLevel, 1);
+      Answer = Candidates.begin();
     }
-    if (!Answer) {
+    if (Answer == Candidates.end()) {
       ++S.Unanswered;
       continue;
     }

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <system_error>
@@ -77,21 +78,31 @@ inline model::TrainOptions benchTrainOptions() {
   return Train;
 }
 
-/// Helper: accuracy of a Predictor over the test split.
-inline eval::AccuracyReport
-modelAccuracy(const model::Task &Task, nn::Seq2SeqModel &Model,
-              unsigned K = 5, size_t MaxSamples = 600) {
-  model::Predictor Pred(Model, Task);
+/// Accuracy over the test split of any ranked-prediction source.
+inline eval::AccuracyReport accuracyOf(
+    const model::Task &Task, unsigned K, size_t MaxSamples,
+    const std::function<std::vector<model::TypePrediction>(
+        const model::EncodedSample &, unsigned)> &Predict) {
   return eval::evaluateAccuracy(
       Task,
       [&](const model::EncodedSample &Sample, unsigned Width) {
         std::vector<std::vector<std::string>> Out;
-        for (const model::TypePrediction &P :
-             Pred.predictEncoded(Sample.Source, Width))
-          Out.push_back(P.Tokens);
+        for (model::TypePrediction &P : Predict(Sample, Width))
+          Out.push_back(std::move(P.Tokens));
         return Out;
       },
       K, MaxSamples);
+}
+
+/// Accuracy of a Predictor over the test split.
+inline eval::AccuracyReport
+modelAccuracy(const model::Task &Task, nn::Seq2SeqModel &Model,
+              unsigned K = 5, size_t MaxSamples = 600) {
+  model::Predictor Pred(Model, Task);
+  return accuracyOf(Task, K, MaxSamples,
+                    [&](const model::EncodedSample &Sample, unsigned Width) {
+                      return Pred.predictEncoded(Sample.Source, Width);
+                    });
 }
 
 /// Accuracy of the statistical baseline over the test split.
@@ -99,16 +110,10 @@ inline eval::AccuracyReport
 baselineAccuracy(const model::Task &Task, unsigned K = 5,
                  size_t MaxSamples = 600) {
   model::StatisticalBaseline Baseline(Task);
-  return eval::evaluateAccuracy(
-      Task,
-      [&](const model::EncodedSample &Sample, unsigned Width) {
-        std::vector<std::vector<std::string>> Out;
-        for (const model::TypePrediction &P :
-             Baseline.predict(Sample.LowLevel, Width))
-          Out.push_back(P.Tokens);
-        return Out;
-      },
-      K, MaxSamples);
+  return accuracyOf(Task, K, MaxSamples,
+                    [&](const model::EncodedSample &Sample, unsigned Width) {
+                      return Baseline.predict(Sample.LowLevel, Width);
+                    });
 }
 
 /// A tiny task and a training setup fast enough to run many times: an

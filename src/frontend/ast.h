@@ -79,7 +79,9 @@ struct SrcField {
 
 /// A source type term. Aggregates are identified nominally via Name; the
 /// pointee of a pointer may refer back to the enclosing aggregate (linked
-/// lists etc.), so the structure may be cyclic — exactly like DWARF.
+/// lists etc.), so the structure may be cyclic — exactly like DWARF. Such a
+/// back edge does not own its target, so dropping the last outside
+/// reference frees the whole graph.
 struct SrcType {
   SrcTypeKind Kind = SrcTypeKind::ST_Void;
   SrcPrimKind Prim = SrcPrimKind::SP_I32;

@@ -26,9 +26,12 @@ SrcTypeRef buildAggregate(Rng &R, SrcTypeKind Kind, const std::string &Name,
       FieldType = makePrim(FieldPrims[R.nextBelow(std::size(FieldPrims))]);
     } else if (Roll < 9) {
       // Pointer field; self-reference with some probability produces the
-      // cyclic DWARF graphs (linked lists) the converter must break.
+      // cyclic DWARF graphs (linked lists) the converter must break. The
+      // back edge does not own the aggregate (an aliasing pointer with an
+      // empty owner): the field lives inside the aggregate, so it cannot
+      // outlive it, and an owning edge would leak the cycle.
       if (R.nextBool(0.4))
-        FieldType = makePointer(Aggregate);
+        FieldType = makePointer(SrcTypeRef(SrcTypeRef(), Aggregate.get()));
       else
         FieldType = makePointer(makePrim(SrcPrimKind::SP_Char));
     } else {

@@ -32,12 +32,39 @@ size_t applyEvidenceGate(std::vector<TypePrediction> &Predictions,
 }
 
 std::vector<TypePrediction>
+decodeCandidates(const Task &BoundTask,
+                 const std::vector<nn::Hypothesis> &Hypotheses, unsigned K,
+                 bool Deduplicate,
+                 const std::function<bool(const TypePrediction &)> &Keep) {
+  std::vector<TypePrediction> Out;
+  std::set<std::vector<std::string>> Seen;
+  for (const nn::Hypothesis &Hyp : Hypotheses) {
+    if (Out.size() >= K)
+      break;
+    TypePrediction Prediction;
+    Prediction.Tokens = BoundTask.decodeTarget(Hyp.Tokens);
+    Prediction.LogProb = Hyp.LogProb;
+    if (Prediction.Tokens.empty() || (Keep && !Keep(Prediction)))
+      continue;
+    if (Deduplicate && !Seen.insert(Prediction.Tokens).second)
+      continue;
+    Out.push_back(std::move(Prediction));
+  }
+  return Out;
+}
+
+std::vector<TypePrediction>
 Predictor::predictEncoded(const std::vector<uint32_t> &SourceIds, unsigned K,
-                          std::optional<wasm::ValType> LowLevel,
-                          const analysis::QueryEvidence *Evidence) const {
-  bool Filtering = Deduplicate || WellFormed ||
-                   (ConsistentOnly && LowLevel.has_value()) ||
-                   Evidence != nullptr;
+                          std::optional<wasm::ValType> LowLevel) const {
+  bool CheckLowLevel = ConsistentOnly && LowLevel.has_value();
+  std::function<bool(const TypePrediction &)> Keep;
+  if (WellFormed || CheckLowLevel)
+    Keep = [&](const TypePrediction &Prediction) {
+      Result<typelang::Type> Parsed = typelang::parseType(Prediction.Tokens);
+      return Parsed.isOk() &&
+             (!CheckLowLevel || typelang::lowLevelTypeOf(*Parsed) == *LowLevel);
+    };
+  bool Filtering = Deduplicate || Keep;
   // Beam a bit wider than K when filtering, so dropped candidates still
   // leave K survivors. A fixed margin is not enough when the filters are
   // aggressive (e.g. most hypotheses are inconsistent with the low-level
@@ -45,44 +72,16 @@ Predictor::predictEncoded(const std::vector<uint32_t> &SourceIds, unsigned K,
   // survive, the beam stops growing (exhausted), or a hard cap is reached.
   unsigned Width = Filtering ? K + 4 : K;
   constexpr unsigned MaxWidth = 256;
-  std::vector<TypePrediction> Out;
   while (true) {
     std::vector<nn::Hypothesis> Hypotheses =
         Model.predictTopK(SourceIds, Width);
-    Out.clear();
-    std::set<std::vector<std::string>> Seen;
-    for (const nn::Hypothesis &Hyp : Hypotheses) {
-      TypePrediction Prediction;
-      Prediction.Tokens = BoundTask.decodeTarget(Hyp.Tokens);
-      Prediction.LogProb = Hyp.LogProb;
-      if (WellFormed || (ConsistentOnly && LowLevel)) {
-        Result<typelang::Type> Parsed = typelang::parseType(Prediction.Tokens);
-        if (Parsed.isErr())
-          continue;
-        if (ConsistentOnly && LowLevel &&
-            typelang::lowLevelTypeOf(*Parsed) != *LowLevel)
-          continue;
-        if (Evidence && analysis::checkConsistency(*Parsed, *Evidence) !=
-                            analysis::GateVerdict::Consistent)
-          continue;
-      } else if (Evidence &&
-                 gatePrediction(Prediction, *Evidence) !=
-                     analysis::GateVerdict::Consistent) {
-        continue;
-      }
-      if (Deduplicate && !Seen.insert(Prediction.Tokens).second)
-        continue;
-      Out.push_back(std::move(Prediction));
-      if (Out.size() >= K)
-        break;
-    }
-    if (!Filtering || Out.size() >= K || Width >= MaxWidth)
-      break;
-    if (Hypotheses.size() < Width)
-      break; // Beam exhausted: widening cannot surface new candidates.
+    std::vector<TypePrediction> Out =
+        decodeCandidates(BoundTask, Hypotheses, K, Deduplicate, Keep);
+    if (!Filtering || Out.size() >= K || Width >= MaxWidth ||
+        Hypotheses.size() < Width) // Exhausted: widening surfaces nothing.
+      return Out;
     Width = std::min(Width * 2, MaxWidth);
   }
-  return Out;
 }
 
 std::optional<wasm::ValType>
@@ -97,10 +96,10 @@ lowLevelOf(const std::vector<std::string> &InputTokens) {
 }
 
 std::vector<TypePrediction>
-Predictor::predict(const std::vector<std::string> &InputTokens, unsigned K,
-                   const analysis::QueryEvidence *Evidence) const {
+Predictor::predict(const std::vector<std::string> &InputTokens,
+                   unsigned K) const {
   return predictEncoded(BoundTask.encodeSource(InputTokens), K,
-                        lowLevelOf(InputTokens), Evidence);
+                        lowLevelOf(InputTokens));
 }
 
 StatisticalBaseline::StatisticalBaseline(const Task &BoundTask) {

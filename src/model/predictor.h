@@ -8,6 +8,7 @@
 #include "nn/seq2seq.h"
 #include "wasm/types.h"
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,6 +39,16 @@ size_t applyEvidenceGate(std::vector<TypePrediction> &Predictions,
                          const analysis::QueryEvidence &Evidence,
                          const analysis::GateOptions &Options = {});
 
+/// The one candidate decoder behind every model answer: decodes beam
+/// hypotheses into at most K predictions in rank order, dropping those that
+/// decode to zero tokens (an empty sequence names no type), repeats of an
+/// earlier candidate when Deduplicate is set, and what Keep rejects.
+std::vector<TypePrediction>
+decodeCandidates(const Task &BoundTask,
+                 const std::vector<nn::Hypothesis> &Hypotheses, unsigned K,
+                 bool Deduplicate,
+                 const std::function<bool(const TypePrediction &)> &Keep = {});
+
 /// The low-level wasm type an extracted input names first: the extraction
 /// prefix is "<t_low> <begin> ...". nullopt for an empty input or a first
 /// token that is not a value-type name.
@@ -63,22 +74,19 @@ public:
         Deduplicate(DeduplicatePredictions), WellFormed(WellFormedOnly),
         ConsistentOnly(ConsistentWithLowLevel) {}
 
-  /// Top-k predictions for an already-encoded source sequence. LowLevel
-  /// enables the consistency filter when the caller knows the wasm type;
-  /// Evidence (optional, not owned) additionally rejects candidates that
-  /// contradict the dataflow analysis, widening the beam to refill the
-  /// survivors like the other filters.
+  /// Top-k predictions for an already-encoded source sequence, through
+  /// decodeCandidates. LowLevel enables the consistency filter when the
+  /// caller knows the wasm type. While a filter is on and fewer than K
+  /// candidates survive, the beam doubles and the search re-runs.
   std::vector<TypePrediction>
   predictEncoded(const std::vector<uint32_t> &SourceIds, unsigned K,
-                 std::optional<wasm::ValType> LowLevel = std::nullopt,
-                 const analysis::QueryEvidence *Evidence = nullptr) const;
+                 std::optional<wasm::ValType> LowLevel = std::nullopt) const;
 
   /// Top-k predictions for raw wasm input tokens (as produced by
   /// dataset::extractParamInput / extractReturnInput). The low-level type
   /// is recovered from the sequence's leading token when present.
   std::vector<TypePrediction>
-  predict(const std::vector<std::string> &InputTokens, unsigned K,
-          const analysis::QueryEvidence *Evidence = nullptr) const;
+  predict(const std::vector<std::string> &InputTokens, unsigned K) const;
 
 private:
   nn::Seq2SeqModel &Model;

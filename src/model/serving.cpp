@@ -5,7 +5,6 @@
 #include "support/telemetry.h"
 
 #include <algorithm>
-#include <set>
 
 namespace snowwhite {
 namespace model {
@@ -42,41 +41,12 @@ const char *outcomeCode(ServeOutcome Outcome) {
   return "?";
 }
 
-namespace {
-
 /// The serving ladder gates path-sensitively: a candidate is only rejected
 /// when the contradicting evidence lies on every entry->exit path of the
 /// function (analysis::GateOptions). Avoidable evidence — e.g. a dereference
 /// behind a branch that may be a dynamic type check — no longer costs a
 /// correct prediction its tier.
 constexpr analysis::GateOptions ServingGate{/*PathSensitive=*/true};
-
-/// Decodes budgeted-search hypotheses into deduplicated predictions, best
-/// log-probability first. Hypotheses that decode to zero tokens (the model
-/// emitted EOS immediately) are dropped: the engine's contract is a *typed*
-/// prediction per request, and an empty sequence names no type — better to
-/// degrade a rung than to return it.
-std::vector<TypePrediction> decodeHypotheses(
-    const Task &BoundTask, const std::vector<nn::Hypothesis> &Hypotheses,
-    unsigned K) {
-  std::vector<TypePrediction> Out;
-  std::set<std::vector<std::string>> Seen;
-  for (const nn::Hypothesis &Hyp : Hypotheses) {
-    TypePrediction Prediction;
-    Prediction.Tokens = BoundTask.decodeTarget(Hyp.Tokens);
-    Prediction.LogProb = Hyp.LogProb;
-    if (Prediction.Tokens.empty())
-      continue;
-    if (!Seen.insert(Prediction.Tokens).second)
-      continue;
-    Out.push_back(std::move(Prediction));
-    if (Out.size() >= K)
-      break;
-  }
-  return Out;
-}
-
-} // namespace
 
 ServingEngine::ServingEngine(nn::Seq2SeqModel &Model, const Task &BoundTask,
                              const ServingOptions &Options)
@@ -245,7 +215,7 @@ ServeResponse ServingEngine::serveLadder(const ServeRequest &Request) {
         Faulted = true;
         continue;
       }
-      nn::Seq2SeqModel::BeamOutcome Out =
+      nn::BeamOutcome Out =
           Model.predictTopKBudgeted(SourceIds, R.Width, Left - R.Reserve);
       Response.DecodeStepsUsed += Out.DecodeStepsUsed;
       if (Out.BudgetExhausted) {
@@ -253,15 +223,14 @@ ServeResponse ServingEngine::serveLadder(const ServeRequest &Request) {
         telemetry::counter("serving.budget_exhaustions").add();
         Exhausted = true;
       }
-      if (Out.NonFinite || Out.Hypotheses.empty()) {
-        Faulted = Faulted || Out.NonFinite;
-        Fail(Out.NonFinite         ? "non-finite logits"
-             : Out.BudgetExhausted ? "step budget exhausted"
-                                   : "no hypotheses");
+      // Unless a step went non-finite, the search returns a hypothesis.
+      if (Out.NonFinite) {
+        Faulted = true;
+        Fail("non-finite logits");
         continue;
       }
-      std::vector<TypePrediction> Decoded =
-          decodeHypotheses(BoundTask, Out.Hypotheses, K);
+      std::vector<TypePrediction> Decoded = decodeCandidates(
+          BoundTask, Out.Hypotheses, K, /*Deduplicate=*/true);
       if (Decoded.empty()) {
         Fail("only empty hypotheses");
         continue;

@@ -110,85 +110,6 @@ void referenceGemmInt8(size_t M, size_t K, size_t N, const float *A,
   }
 }
 
-// --- Portable tuned fallback -------------------------------------------------
-//
-// Same chains as the reference, restructured for locality so non-x86 builds
-// still beat the naive jpi ordering: the unit-stride j loop is innermost and
-// a column tile of C accumulates in a local block before one add.
-
-constexpr size_t PortableTileJ = 16;
-
-void portableGemm(size_t M, size_t K, size_t N, const float *A, const float *B,
-                  float *C) {
-  if (K == 0)
-    return;
-  float Acc[PortableTileJ];
-  for (size_t I = 0; I < M; ++I) {
-    const float *ARow = A + I * K;
-    float *CRow = C + I * N;
-    for (size_t J0 = 0; J0 < N; J0 += PortableTileJ) {
-      size_t Width = std::min(PortableTileJ, N - J0);
-      for (size_t J = 0; J < Width; ++J)
-        Acc[J] = 0.0f;
-      for (size_t P = 0; P < K; ++P) {
-        float AIP = ARow[P];
-        const float *BRow = B + P * N + J0;
-        for (size_t J = 0; J < Width; ++J)
-          Acc[J] += AIP * BRow[J];
-      }
-      for (size_t J = 0; J < Width; ++J)
-        CRow[J0 + J] += Acc[J];
-    }
-  }
-}
-
-void portableGemmTA(size_t M, size_t K, size_t N, size_t Lda, const float *A,
-                    const float *B, float *C) {
-  if (M == 0)
-    return;
-  float Acc[PortableTileJ];
-  for (size_t P = 0; P < K; ++P) {
-    float *CRow = C + P * N;
-    for (size_t J0 = 0; J0 < N; J0 += PortableTileJ) {
-      size_t Width = std::min(PortableTileJ, N - J0);
-      for (size_t J = 0; J < Width; ++J)
-        Acc[J] = 0.0f;
-      for (size_t I = 0; I < M; ++I) {
-        float AIP = A[I * Lda + P];
-        const float *BRow = B + I * N + J0;
-        for (size_t J = 0; J < Width; ++J)
-          Acc[J] += AIP * BRow[J];
-      }
-      for (size_t J = 0; J < Width; ++J)
-        CRow[J0 + J] += Acc[J];
-    }
-  }
-}
-
-void portableGemmInt8(size_t M, size_t K, size_t N, const float *A,
-                      const int8_t *Q, const float *Scale, float *C) {
-  if (K == 0)
-    return;
-  float Acc[PortableTileJ];
-  for (size_t I = 0; I < M; ++I) {
-    const float *ARow = A + I * K;
-    float *CRow = C + I * N;
-    for (size_t J0 = 0; J0 < N; J0 += PortableTileJ) {
-      size_t Width = std::min(PortableTileJ, N - J0);
-      for (size_t J = 0; J < Width; ++J)
-        Acc[J] = 0.0f;
-      for (size_t P = 0; P < K; ++P) {
-        float XS = ARow[P] * Scale[P];
-        const int8_t *QRow = Q + P * N + J0;
-        for (size_t J = 0; J < Width; ++J)
-          Acc[J] += XS * static_cast<float>(QRow[J]);
-      }
-      for (size_t J = 0; J < Width; ++J)
-        CRow[J0 + J] += Acc[J];
-    }
-  }
-}
-
 #ifdef SNOWWHITE_KERNELS_X86
 
 // --- AVX2 tuned kernels ------------------------------------------------------
@@ -456,24 +377,18 @@ avx2GemmInt8(size_t M, size_t K, size_t N, const float *A, const int8_t *Q,
 
 // --- Tuned dispatch ----------------------------------------------------------
 
-struct TunedDispatch {
-  const char *Target;
-  bool Vectorized;
-  decltype(&referenceGemm) Gemm;
-  decltype(&referenceGemmTB) GemmTB;
-  decltype(&referenceGemmTA) GemmTA;
-  decltype(&referenceGemmInt8) GemmInt8;
-};
-
-const TunedDispatch &tunedDispatch() {
-  static const TunedDispatch Dispatch = [] {
+/// The kernels `tuned` runs on this CPU, named by their dispatch target.
+const KernelBackend &tunedDispatch() {
+  static const KernelBackend Dispatch = [] {
 #ifdef SNOWWHITE_KERNELS_X86
     if (__builtin_cpu_supports("avx2"))
-      return TunedDispatch{"avx2", true, avx2Gemm, avx2GemmTB, avx2GemmTA,
+      return KernelBackend{"avx2", avx2Gemm, avx2GemmTB, avx2GemmTA,
                            avx2GemmInt8};
 #endif
-    return TunedDispatch{"portable", false, portableGemm, referenceGemmTB,
-                         portableGemmTA, portableGemmInt8};
+    // Without AVX2 the tuned backend is the reference: the two are
+    // bit-identical by contract, so nothing else needs to run here.
+    return KernelBackend{"reference", referenceGemm, referenceGemmTB,
+                         referenceGemmTA, referenceGemmInt8};
   }();
   return Dispatch;
 }
@@ -593,9 +508,7 @@ bool setActive(std::string_view Name) {
   return true;
 }
 
-bool tunedIsVectorized() { return tunedDispatch().Vectorized; }
-
-const char *tunedDispatchName() { return tunedDispatch().Target; }
+const char *tunedDispatchName() { return tunedDispatch().Name; }
 
 uint64_t differentialMismatches() {
   return DifferentialMismatchCount.load(std::memory_order_relaxed);

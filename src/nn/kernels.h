@@ -6,12 +6,12 @@
 // registry of interchangeable backends:
 //
 //   * `reference` — portable scalar loops, the executable specification.
-//   * `tuned`     — cache/register-blocked and explicitly vectorized
-//                   (AVX2 selected at runtime via __builtin_cpu_supports,
-//                   portable blocked fallback elsewhere). Bit-identical to
-//                   `reference` by
-//                   construction: both follow the same per-element
-//                   accumulation chains (see below).
+//   * `tuned`     — register-blocked and explicitly vectorized (AVX2
+//                   selected at runtime via __builtin_cpu_supports; on a
+//                   CPU without AVX2 it runs the `reference` loops).
+//                   Bit-identical to `reference` by construction: both
+//                   follow the same per-element accumulation chains (see
+//                   below).
 //   * `differential` — runs `tuned` and `reference` side by side and counts
 //                   any bitwise divergence; the safety net for tests, the
 //                   fuzzer, and field debugging.
@@ -116,11 +116,8 @@ const char *activeName();
 /// from setup code only.
 bool setActive(std::string_view Name);
 
-/// True when the tuned backend dispatched to a SIMD implementation on this
-/// machine (false means it is running the portable blocked fallback).
-bool tunedIsVectorized();
-
-/// Human-readable tuned dispatch target: "avx2" or "portable".
+/// The tuned backend's dispatch target on this machine: "avx2", or
+/// "reference" when the CPU lacks AVX2.
 const char *tunedDispatchName();
 
 /// Bitwise tuned-vs-reference divergences observed by the `differential`

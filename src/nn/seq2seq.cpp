@@ -7,8 +7,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <cstdio>
 
 namespace snowwhite {
 namespace nn {
@@ -138,7 +136,6 @@ Seq2SeqModel::encode(Graph &G,
     Joint[T] = G.concatCols(FwdStates[T], BwdStates[T]);
 
   Encoded Out;
-  Out.PaddedLen = PaddedLen;
   Out.PerItemStates.reserve(B);
   Out.PadMasks.reserve(B);
   for (size_t Item = 0; Item < B; ++Item) {
@@ -162,35 +159,27 @@ Seq2SeqModel::encode(Graph &G,
 
 Seq2SeqModel::DecodeStep
 Seq2SeqModel::decodeStep(Graph &G, const std::vector<uint32_t> &InputIds,
-                         Var H, Var C, const Encoded &Enc,
-                         const std::vector<size_t> &ItemOfRow, Rng &DropRng) {
+                         Var H, Var C, const Encoded &Enc, Rng &DropRng) {
   size_t B = InputIds.size();
   Var X = G.dropout(G.embedding(TgtEmbed, InputIds), Config.DropoutRate,
                     DropRng);
   auto [NewH, NewC] = Decoder.step(G, X, H, C);
 
-  // Luong "general" attention, per batch row (rows may map to shared
-  // encoder items during beam search).
+  // Luong "general" attention, per batch row (row i attends over item i).
   Var Query = Int8Inference && !G.isTraining()
                   ? G.matmulInt8(NewH, AttnWQuant)
                   : G.matmul(NewH, G.param(AttnW)); // [B, 2h]
   std::vector<Var> Contexts;
   Contexts.reserve(B);
   for (size_t Row = 0; Row < B; ++Row) {
-    size_t Item = ItemOfRow[Row];
     Var RowQuery = G.sliceRow(Query, Row); // [1, 2h]
     Var Scores =
-        G.matmulTransposeB(RowQuery, Enc.PerItemStates[Item]); // [1, T]
-    Scores = G.add(Scores, Enc.PadMasks[Item]);
+        G.matmulTransposeB(RowQuery, Enc.PerItemStates[Row]); // [1, T]
+    Scores = G.add(Scores, Enc.PadMasks[Row]);
     Var Weights = G.softmaxRows(Scores);
-    Contexts.push_back(G.matmul(Weights, Enc.PerItemStates[Item])); // [1,2h]
+    Contexts.push_back(G.matmul(Weights, Enc.PerItemStates[Row])); // [1,2h]
   }
-  Var Context = Contexts.size() == 1 ? Contexts[0] : G.stackRows([&] {
-    std::vector<Var> Rows;
-    for (Var &ContextRow : Contexts)
-      Rows.push_back(ContextRow);
-    return Rows;
-  }());
+  Var Context = Contexts.size() == 1 ? Contexts[0] : G.stackRows(Contexts);
   Var Combined = G.tanhOp(
       AttnCombine.forward(G, G.concatCols(NewH, Context))); // [B, h]
   Combined = G.dropout(Combined, Config.DropoutRate, DropRng);
@@ -215,9 +204,6 @@ float Seq2SeqModel::forwardBackward(
   for (const std::vector<uint32_t> &Target : Targets)
     MaxSteps = std::max(MaxSteps,
                         std::min(Target.size(), Config.MaxTgtLen - 1) + 1);
-  std::vector<size_t> ItemOfRow(B);
-  for (size_t Row = 0; Row < B; ++Row)
-    ItemOfRow[Row] = Row;
 
   Var H = Enc.DecoderH, C = Enc.DecoderC;
   Var TotalLoss = G.zeros(1, 1);
@@ -233,7 +219,7 @@ float Seq2SeqModel::forwardBackward(
                          : Step == Len ? Config.EosId
                                        : Config.PadId;
     }
-    DecodeStep Decoded = decodeStep(G, Inputs, H, C, Enc, ItemOfRow, DropRng);
+    DecodeStep Decoded = decodeStep(G, Inputs, H, C, Enc, DropRng);
     H = Decoded.H;
     C = Decoded.C;
     Var StepLoss = G.crossEntropy(Decoded.Logits, StepTargets, Config.PadId);
@@ -308,134 +294,25 @@ float Seq2SeqModel::evaluateLoss(
                          ModelRng);
 }
 
-std::vector<Hypothesis>
-Seq2SeqModel::predictTopK(const std::vector<uint32_t> &Source,
-                          unsigned BeamWidth) {
-  return predictTopKBudgeted(Source, BeamWidth, /*MaxDecodeSteps=*/0)
-      .Hypotheses;
-}
-
-Seq2SeqModel::BeamOutcome
+BeamOutcome
 Seq2SeqModel::predictTopKBudgeted(const std::vector<uint32_t> &Source,
                                   unsigned BeamWidth,
                                   uint64_t MaxDecodeSteps) {
-  assert(BeamWidth >= 1 && "beam width must be positive");
-  BeamOutcome Out;
   Graph G(/*Training=*/false);
   Encoded Enc = encode(G, {Source}, ModelRng);
-
-  struct Beam {
-    std::vector<uint32_t> Tokens;
-    float LogProb = 0.0f;
-    Var H, C;
-    bool Finished = false;
-  };
-  std::vector<Beam> Beams = {{{}, 0.0f, Enc.DecoderH, Enc.DecoderC, false}};
-  std::vector<Hypothesis> Finished;
-
-  for (size_t Step = 0; Step < Config.MaxTgtLen && !Out.BudgetExhausted &&
-                        !Out.NonFinite;
-       ++Step) {
-    std::vector<Beam> Candidates;
-    for (Beam &Current : Beams) {
-      if (Current.Finished)
-        continue;
-      if (MaxDecodeSteps != 0 && Out.DecodeStepsUsed >= MaxDecodeSteps) {
-        Out.BudgetExhausted = true;
-        break;
-      }
-      uint32_t LastToken =
-          Current.Tokens.empty() ? Config.BosId : Current.Tokens.back();
-      DecodeStep Decoded =
-          decodeStep(G, {LastToken}, Current.H, Current.C, Enc, {0}, ModelRng);
-      ++Out.DecodeStepsUsed;
-      // Log-softmax over the vocabulary.
-      size_t V = Decoded.Logits.cols();
-      const float *Row = Decoded.Logits.value();
-      if (!allFinite(Row, V)) {
-        Out.NonFinite = true;
-        break;
-      }
-      float Max = Row[0];
-      for (size_t J = 1; J < V; ++J)
-        Max = std::max(Max, Row[J]);
-      double Sum = 0.0;
-      for (size_t J = 0; J < V; ++J)
-        Sum += std::exp(static_cast<double>(Row[J] - Max));
-      float LogSum = static_cast<float>(std::log(Sum)) + Max;
-
-      // Top BeamWidth continuations of this beam.
-      std::vector<std::pair<float, uint32_t>> Scored;
-      Scored.reserve(V);
-      for (size_t J = 0; J < V; ++J) {
-        if (J == Config.PadId || J == Config.BosId || J == Config.UnkId)
-          continue;
-        Scored.emplace_back(Row[J] - LogSum, static_cast<uint32_t>(J));
-      }
-      size_t Keep = std::min<size_t>(BeamWidth, Scored.size());
-      std::partial_sort(Scored.begin(), Scored.begin() + Keep, Scored.end(),
-                        [](const auto &A, const auto &B) {
-                          return A.first > B.first;
-                        });
-      for (size_t K = 0; K < Keep; ++K) {
-        Beam Next = Current;
-        Next.H = Decoded.H;
-        Next.C = Decoded.C;
-        Next.LogProb += Scored[K].first;
-        if (Scored[K].second == Config.EosId) {
-          Finished.push_back({Next.Tokens, Next.LogProb});
-        } else {
-          Next.Tokens.push_back(Scored[K].second);
-          Candidates.push_back(std::move(Next));
-        }
-      }
-    }
-    if (Candidates.empty())
-      break;
-    std::sort(Candidates.begin(), Candidates.end(),
-              [](const Beam &A, const Beam &B) {
-                return A.LogProb > B.LogProb;
-              });
-    if (Candidates.size() > BeamWidth)
-      Candidates.resize(BeamWidth);
-    Beams = std::move(Candidates);
-    // Early exit once we have enough finished hypotheses that outscore all
-    // live beams (by normalized score; see below).
-    auto Normalized = [](float LogProb, size_t NumTokens) {
-      return LogProb / static_cast<float>(NumTokens + 1);
-    };
-    if (Finished.size() >= BeamWidth) {
-      float WorstFinished = 0.0f;
-      bool First = true;
-      for (const Hypothesis &Hyp : Finished) {
-        float Score = Normalized(Hyp.LogProb, Hyp.Tokens.size());
-        WorstFinished = First ? Score : std::min(WorstFinished, Score);
-        First = false;
-      }
-      if (!Beams.empty() &&
-          Normalized(Beams[0].LogProb, Beams[0].Tokens.size()) <
-              WorstFinished)
-        break;
-    }
-  }
-  // Unfinished beams count as (truncated) hypotheses if we ran out. After a
-  // non-finite step the live beams are tainted; keep only cleanly finished
-  // hypotheses in that case.
-  if (!Out.NonFinite)
-    for (const Beam &Current : Beams)
-      Finished.push_back({Current.Tokens, Current.LogProb});
-  // Rank by length-normalized log-probability: plain sums systematically
-  // favor short sequences (an immediate EOS would dominate every multi-token
-  // type).
-  std::sort(Finished.begin(), Finished.end(),
-            [](const Hypothesis &A, const Hypothesis &B) {
-              return A.LogProb / static_cast<float>(A.Tokens.size() + 1) >
-                     B.LogProb / static_cast<float>(B.Tokens.size() + 1);
-            });
-  if (Finished.size() > BeamWidth)
-    Finished.resize(BeamWidth);
-  Out.Hypotheses = std::move(Finished);
-  return Out;
+  // Step state s is the (H, C) pair States[s]; the root is the bridge's.
+  std::vector<std::pair<Var, Var>> States = {{Enc.DecoderH, Enc.DecoderC}};
+  BeamSpec Spec{BeamWidth,    Config.MaxTgtLen, MaxDecodeSteps, Config.PadId,
+                Config.UnkId, Config.BosId,     Config.EosId};
+  return beamSearch(Spec, [&](size_t Parent,
+                              const std::vector<uint32_t> &Prefix) {
+    uint32_t LastToken = Prefix.empty() ? Config.BosId : Prefix.back();
+    auto [H, C] = States[Parent];
+    DecodeStep Decoded = decodeStep(G, {LastToken}, H, C, Enc, ModelRng);
+    States.emplace_back(Decoded.H, Decoded.C);
+    return BeamStepResult{{Decoded.Logits.value(), Decoded.Logits.cols()},
+                          States.size() - 1};
+  });
 }
 
 // --- Serialization ---------------------------------------------------------

@@ -10,6 +10,7 @@
 #ifndef SNOWWHITE_NN_SEQ2SEQ_H
 #define SNOWWHITE_NN_SEQ2SEQ_H
 
+#include "nn/beam.h"
 #include "nn/layers.h"
 #include "support/result.h"
 
@@ -35,12 +36,6 @@ struct Seq2SeqConfig {
 
   /// Special ids, matching dataset::TokenVocab.
   uint32_t PadId = 0, UnkId = 1, BosId = 2, EosId = 3;
-};
-
-/// One beam-search result.
-struct Hypothesis {
-  std::vector<uint32_t> Tokens; ///< Without BOS/EOS.
-  float LogProb = 0.0f;
 };
 
 class Seq2SeqModel {
@@ -80,25 +75,15 @@ public:
 
   /// Beam search for the BeamWidth most likely target sequences.
   std::vector<Hypothesis> predictTopK(const std::vector<uint32_t> &Source,
-                                      unsigned BeamWidth);
+                                      unsigned BeamWidth) {
+    return predictTopKBudgeted(Source, BeamWidth, 0).Hypotheses;
+  }
 
-  /// Outcome of a budgeted beam search. Hypotheses may be empty or partial
-  /// when the budget ran out or the logits went non-finite; callers degrade
-  /// to a cheaper tier instead of trusting them.
-  struct BeamOutcome {
-    std::vector<Hypothesis> Hypotheses;
-    uint64_t DecodeStepsUsed = 0; ///< decodeStep invocations consumed.
-    bool BudgetExhausted = false; ///< Search stopped by the step budget.
-    bool NonFinite = false;       ///< A decode step produced NaN/inf logits.
-  };
-
-  /// predictTopK with a hard cost ceiling: the search charges one unit per
-  /// decoder invocation (the dominant cost) and stops as soon as the next
-  /// step would exceed MaxDecodeSteps (0 = unlimited). Every step's logits
-  /// are also screened for non-finite values, so a numerically broken model
-  /// reports NonFinite instead of emitting garbage predictions. This is what
-  /// makes per-request deadlines in the serving engine enforceable: beam
-  /// cost is bounded by construction, not by wall-clock supervision.
+  /// predictTopK with a hard cost ceiling of MaxDecodeSteps decoder
+  /// invocations (0 = unlimited), the dominant cost; a numerically broken
+  /// model reports NonFinite instead of emitting garbage (nn::beamSearch).
+  /// This is what makes per-request deadlines in the serving engine
+  /// enforceable: beam cost is bounded by construction.
   BeamOutcome predictTopKBudgeted(const std::vector<uint32_t> &Source,
                                   unsigned BeamWidth,
                                   uint64_t MaxDecodeSteps);
@@ -149,22 +134,21 @@ private:
     std::vector<Var> PadMasks;      ///< Per item: [1, T] additive mask.
     Var DecoderH;                   ///< [B, h].
     Var DecoderC;                   ///< [B, h].
-    size_t PaddedLen = 0;
   };
   /// DropRng supplies dropout masks; shards pass private streams so graphs
   /// can run concurrently.
   Encoded encode(Graph &G, const std::vector<std::vector<uint32_t>> &Sources,
                  Rng &DropRng);
 
-  /// One decoder step with attention: returns (logits [B, V], new H, new C).
+  /// One decoder step with attention, row i over encoded item i: returns
+  /// (logits [B, V], new H, new C).
   struct DecodeStep {
     Var Logits;
     Var H;
     Var C;
   };
   DecodeStep decodeStep(Graph &G, const std::vector<uint32_t> &InputIds,
-                        Var H, Var C, const Encoded &Enc,
-                        const std::vector<size_t> &ItemOfRow, Rng &DropRng);
+                        Var H, Var C, const Encoded &Enc, Rng &DropRng);
 
   /// Forward (and, when Train, backward) over one shard. LossScale weights
   /// the shard's contribution to the batch gradient (shard rows / batch

@@ -161,7 +161,9 @@ Var TransformerModel::encodeOne(Graph &G,
 }
 
 Var TransformerModel::decodeOne(Graph &G, Var Encoded,
-                                const std::vector<uint32_t> &Inputs) {
+                                const std::vector<uint32_t> &Prefix) {
+  std::vector<uint32_t> Inputs = {Config.BosId};
+  Inputs.insert(Inputs.end(), Prefix.begin(), Prefix.end());
   Var X = embed(G, TgtEmbed, Inputs);
   // Causal mask [T, T]: position i may not attend to j > i.
   size_t T = Inputs.size();
@@ -197,14 +199,10 @@ float TransformerModel::runBatch(
   for (size_t Item = 0; Item < Sources.size(); ++Item) {
     Var Encoded = encodeOne(G, Sources[Item]);
     size_t Len = std::min(Targets[Item].size(), Config.MaxTgtLen - 1);
-    std::vector<uint32_t> Inputs = {Config.BosId};
-    std::vector<uint32_t> Expected;
-    for (size_t I = 0; I < Len; ++I) {
-      Inputs.push_back(Targets[Item][I]);
-      Expected.push_back(Targets[Item][I]);
-    }
+    std::vector<uint32_t> Expected(Targets[Item].begin(),
+                                   Targets[Item].begin() + Len);
+    Var Logits = decodeOne(G, Encoded, Expected);
     Expected.push_back(Config.EosId);
-    Var Logits = decodeOne(G, Encoded, Inputs);
     TotalLoss =
         G.add(TotalLoss, G.crossEntropy(Logits, Expected, Config.PadId));
   }
@@ -235,78 +233,19 @@ float TransformerModel::evaluateLoss(
 std::vector<Hypothesis>
 TransformerModel::predictTopK(const std::vector<uint32_t> &Source,
                               unsigned BeamWidth) {
-  assert(BeamWidth >= 1 && "beam width must be positive");
   Graph G(/*Training=*/false);
   Var Encoded = encodeOne(G, Source);
-
-  struct Beam {
-    std::vector<uint32_t> Tokens;
-    float LogProb = 0.0f;
-  };
-  std::vector<Beam> Beams = {{{}, 0.0f}};
-  std::vector<Hypothesis> Finished;
-
-  for (size_t Step = 0; Step < Config.MaxTgtLen - 1; ++Step) {
-    std::vector<Beam> Candidates;
-    for (const Beam &Current : Beams) {
-      // Re-run the decoder over the whole prefix (no KV cache; targets are
-      // short type sequences).
-      std::vector<uint32_t> Inputs = {Config.BosId};
-      Inputs.insert(Inputs.end(), Current.Tokens.begin(),
-                    Current.Tokens.end());
-      Var Logits = decodeOne(G, Encoded, Inputs);
-      size_t LastRow = Inputs.size() - 1;
-      size_t V = Logits.cols();
-      const float *Row = Logits.value() + LastRow * V;
-      float Max = Row[0];
-      for (size_t J = 1; J < V; ++J)
-        Max = std::max(Max, Row[J]);
-      double Sum = 0.0;
-      for (size_t J = 0; J < V; ++J)
-        Sum += std::exp(static_cast<double>(Row[J] - Max));
-      float LogSum = static_cast<float>(std::log(Sum)) + Max;
-
-      std::vector<std::pair<float, uint32_t>> Scored;
-      for (size_t J = 0; J < V; ++J) {
-        if (J == Config.PadId || J == Config.BosId || J == Config.UnkId)
-          continue;
-        Scored.emplace_back(Row[J] - LogSum, static_cast<uint32_t>(J));
-      }
-      size_t Keep = std::min<size_t>(BeamWidth, Scored.size());
-      std::partial_sort(
-          Scored.begin(), Scored.begin() + Keep, Scored.end(),
-          [](const auto &A, const auto &B) { return A.first > B.first; });
-      for (size_t K = 0; K < Keep; ++K) {
-        Beam Next = Current;
-        Next.LogProb += Scored[K].first;
-        if (Scored[K].second == Config.EosId) {
-          Finished.push_back({Next.Tokens, Next.LogProb});
-        } else {
-          Next.Tokens.push_back(Scored[K].second);
-          Candidates.push_back(std::move(Next));
-        }
-      }
-    }
-    if (Candidates.empty())
-      break;
-    std::sort(Candidates.begin(), Candidates.end(),
-              [](const Beam &A, const Beam &B) {
-                return A.LogProb > B.LogProb;
-              });
-    if (Candidates.size() > BeamWidth)
-      Candidates.resize(BeamWidth);
-    Beams = std::move(Candidates);
-  }
-  for (const Beam &Current : Beams)
-    Finished.push_back({Current.Tokens, Current.LogProb});
-  std::sort(Finished.begin(), Finished.end(),
-            [](const Hypothesis &A, const Hypothesis &B) {
-              return A.LogProb / static_cast<float>(A.Tokens.size() + 1) >
-                     B.LogProb / static_cast<float>(B.Tokens.size() + 1);
-            });
-  if (Finished.size() > BeamWidth)
-    Finished.resize(BeamWidth);
-  return Finished;
+  // No step state: the decoder re-runs over the whole prefix (no KV cache;
+  // targets are short type sequences). BOS plus the prefix must fit the
+  // MaxTgtLen-row positional table.
+  BeamSpec Spec{BeamWidth,    Config.MaxTgtLen - 1, 0, Config.PadId,
+                Config.UnkId, Config.BosId,         Config.EosId};
+  return beamSearch(Spec, [&](size_t, const std::vector<uint32_t> &Prefix) {
+           Var Logits = decodeOne(G, Encoded, Prefix);
+           size_t V = Logits.cols();
+           return BeamStepResult{{Logits.value() + Prefix.size() * V, V}, 0};
+         })
+      .Hypotheses;
 }
 
 } // namespace nn

@@ -17,7 +17,7 @@
 #define SNOWWHITE_NN_TRANSFORMER_H
 
 #include "nn/layers.h"
-#include "nn/seq2seq.h" // For Hypothesis.
+#include "nn/beam.h"
 
 #include <vector>
 
@@ -54,7 +54,8 @@ public:
   float evaluateLoss(const std::vector<std::vector<uint32_t>> &Sources,
                      const std::vector<std::vector<uint32_t>> &Targets);
 
-  /// Beam search, same semantics as Seq2SeqModel::predictTopK.
+  /// Top-k beam search through the same nn::beamSearch as
+  /// Seq2SeqModel::predictTopK.
   std::vector<Hypothesis> predictTopK(const std::vector<uint32_t> &Source,
                                       unsigned BeamWidth);
 
@@ -90,9 +91,9 @@ private:
   /// Encodes one source sequence to [T, d].
   Var encodeOne(Graph &G, const std::vector<uint32_t> &Source);
 
-  /// Decoder forward over the full (teacher-forced or partial) target
-  /// prefix: returns logits [Tt, V].
-  Var decodeOne(Graph &G, Var Encoded, const std::vector<uint32_t> &Inputs);
+  /// Decoder forward over BOS plus a (teacher-forced or partial) target
+  /// prefix: returns logits [1 + |Prefix|, V].
+  Var decodeOne(Graph &G, Var Encoded, const std::vector<uint32_t> &Prefix);
 
   float runBatch(const std::vector<std::vector<uint32_t>> &Sources,
                  const std::vector<std::vector<uint32_t>> &Targets,

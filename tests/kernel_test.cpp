@@ -87,8 +87,11 @@ TEST(KernelRegistry, SetActiveSwitchesAndRejectsUnknown) {
 
 TEST(KernelRegistry, TunedDispatchIsReported) {
   std::string Target = kernels::tunedDispatchName();
-  EXPECT_TRUE(Target == "avx2" || Target == "portable") << Target;
-  EXPECT_EQ(kernels::tunedIsVectorized(), Target != "portable");
+  EXPECT_TRUE(Target == "avx2" || Target == "reference") << Target;
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  // The dispatch follows the CPU: the AVX2 kernels exactly when it has AVX2.
+  EXPECT_EQ(Target == "avx2", __builtin_cpu_supports("avx2") != 0);
+#endif
 }
 
 // --- Bit-for-bit tuned vs reference ------------------------------------------

@@ -3,6 +3,7 @@
 #include "eval/distribution.h"
 #include "eval/metrics.h"
 #include "model/predictor.h"
+#include "model/serving.h"
 #include "model/task.h"
 #include "model/trainer.h"
 #include "support/hash.h"
@@ -373,6 +374,72 @@ TEST(Predictor, WidensBeamWhenFiltersEatTheMargin) {
   EXPECT_GT(ShortfallCases, 0u);
   EXPECT_GT(Recovered, 0u)
       << "retry never returned more than the first beam's survivors";
+}
+
+// --- Serving gate: a parsed candidate the evidence contradicts ---------------
+
+/// Evidence that contradicts every pointer candidate: each return of the
+/// slot's function is a comparison result (always 0 or 1). The ladder gates
+/// with whatever evidence a request carries.
+analysis::QueryEvidence comparisonReturnEvidence() {
+  analysis::QueryEvidence Evidence;
+  Evidence.Ret.emplace();
+  Evidence.Ret->TotalReturns = 2;
+  Evidence.Ret->FromComparison = 2;
+  return Evidence;
+}
+
+TEST(ServingGate, ContradictedRankOneFallsThroughEveryModelRung) {
+  // The 10-epoch model's rank 1 parses, so the gate really fires: with one
+  // candidate per rung, a contradicted pointer empties the beam rung, then
+  // the greedy rung, and the baseline answers.
+  TrainedFixture &Fixture = trainedFixture();
+  Task &T = *Fixture.T;
+  const Dataset &Data = sharedDataset();
+  const analysis::QueryEvidence Evidence = comparisonReturnEvidence();
+  ServingOptions Options;
+  Options.TopK = 1;
+  StatisticalBaseline Baseline(T);
+
+  size_t Checked = 0, Fired = 0;
+  for (const EncodedSample &Sample : T.test()) {
+    if (++Checked > 40)
+      break;
+    ServeRequest Request;
+    Request.Id = Checked;
+    Request.InputTokens = Data.Samples[Sample.DatasetIndex].Input;
+    ServingEngine Ungated(*Fixture.Result.Model, T, Options);
+    ServeResponse Plain = Ungated.processOne(Request);
+    ASSERT_EQ(Plain.Tier, PredictionTier::Beam);
+    ASSERT_EQ(Plain.Predictions.size(), 1u);
+    if (gatePrediction(Plain.Predictions[0], Evidence) ==
+        analysis::GateVerdict::Consistent)
+      continue;
+    ++Fired;
+    ASSERT_TRUE(typelang::parseType(Plain.Predictions[0].Tokens).isOk());
+
+    Request.Evidence = Evidence;
+    ServingEngine Gated(*Fixture.Result.Model, T, Options);
+    ServeResponse R = Gated.processOne(Request);
+    EXPECT_EQ(R.Tier, PredictionTier::Baseline);
+    EXPECT_EQ(R.Outcome, ServeOutcome::OkBaseline);
+    EXPECT_EQ(R.Detail, "beam: all candidates contradicted evidence; "
+                        "greedy: all candidates contradicted evidence");
+    EXPECT_FALSE(R.Suspect) << "a gated request is not a poison request";
+    // Both rungs decoded the same single candidate.
+    EXPECT_EQ(R.DecodeStepsUsed, 2 * Plain.DecodeStepsUsed);
+    wasm::ValType Slot =
+        lowLevelOf(Request.InputTokens).value_or(wasm::ValType::I32);
+    std::vector<TypePrediction> Expected = Baseline.predict(Slot, 1);
+    ASSERT_EQ(R.Predictions.size(), Expected.size());
+    EXPECT_EQ(R.Predictions[0].Tokens, Expected[0].Tokens);
+    const ServingStats &S = Gated.stats();
+    EXPECT_EQ(S.GatedCandidates, 2u);
+    EXPECT_EQ(S.GateDegradations, 2u);
+    EXPECT_EQ(S.BaselineAnswers, 1u);
+    EXPECT_EQ(S.BeamAnswers + S.GreedyAnswers, 0u);
+  }
+  EXPECT_GT(Fired, 0u) << "no rank-1 candidate was contradicted";
 }
 
 TEST(EndToEnd, TinyModelTrainsAndPredicts) {

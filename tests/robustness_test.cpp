@@ -28,6 +28,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 namespace snowwhite {
 namespace model {
 namespace {
@@ -66,6 +68,13 @@ TrainOptions tinyTrainOptions() {
   Options.MaxValidSamples = 32;
   Options.Seed = 99;
   return Options;
+}
+
+/// A file name under the test temp directory that is private to this
+/// process, so two runs of this binary (say, from two build trees) never
+/// write the same file.
+std::string processTempPath(const std::string &Name) {
+  return ::testing::TempDir() + "/" + Name + "." + std::to_string(getpid());
 }
 
 /// One trained model shared by the serving tests (training is the slow part).
@@ -497,7 +506,7 @@ TEST(Serving, RegistryCountersMirrorEngineStats) {
 // reported training time go *down*. The checkpoint now carries the
 // accumulated seconds, so time is monotone across any number of resumes.
 TEST(TrainerTime, AccumulatedSecondsAreMonotoneAcrossResumes) {
-  std::string Ckpt = ::testing::TempDir() + "/robustness_time.ckpt";
+  std::string Ckpt = processTempPath("robustness_time.ckpt");
   std::remove(Ckpt.c_str());
 
   auto RunSegment = [&](uint64_t CrashAtTick, bool Resume) {
@@ -535,7 +544,7 @@ TEST(TrainerTime, AccumulatedSecondsAreMonotoneAcrossResumes) {
 
 TEST(CheckpointIntegrity, CorruptedModelFileIsRejectedWithTaxonomyCode) {
   ServingFixture &Fixture = servingFixture();
-  std::string Path = ::testing::TempDir() + "/robustness_model.bin";
+  std::string Path = processTempPath("robustness_model.bin");
   ASSERT_TRUE(Fixture.Trained.Model->save(Path).isOk());
 
   Result<std::vector<uint8_t>> Bytes = io::readFileBytes(Path);
