@@ -5,7 +5,7 @@
 // e.g. 0.25 for a quick smoke run, 4 for a larger corpus.
 //
 // The robustness tables and snowwhite_fuzz's model modes share a second,
-// much smaller fixture (TinyFixture) and a per-process scratch directory.
+// much smaller fixture (TinyFixture).
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,17 +18,14 @@
 #include "model/predictor.h"
 #include "model/task.h"
 #include "model/trainer.h"
+#include "support/scratch_dir.h"
 #include "support/str.h"
-
-#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
-#include <system_error>
 
 namespace snowwhite {
 namespace bench {
@@ -142,32 +139,6 @@ inline TinyFixture makeTinyFixture(uint64_t Seed) {
   Out.Options.Seed = Seed;
   return Out;
 }
-
-/// A directory under the system temp directory named after Stem and this
-/// process's id, so two runs at once never share a file. It is created
-/// empty and removed, with everything in it, when the object is destroyed.
-class ScratchDir {
-public:
-  explicit ScratchDir(const std::string &Stem)
-      : Root(std::filesystem::temp_directory_path() /
-             (Stem + "." + std::to_string(::getpid()))) {
-    std::filesystem::remove_all(Root);
-    std::filesystem::create_directories(Root);
-  }
-  ~ScratchDir() {
-    std::error_code Ignored;
-    std::filesystem::remove_all(Root, Ignored);
-  }
-  ScratchDir(const ScratchDir &) = delete;
-  ScratchDir &operator=(const ScratchDir &) = delete;
-
-  std::string path(const std::string &Name) const {
-    return (Root / Name).string();
-  }
-
-private:
-  std::filesystem::path Root;
-};
 
 inline void printRule(char Fill = '-', int Width = 78) {
   for (int I = 0; I < Width; ++I)

@@ -51,7 +51,7 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
-int runRssTable(const bench::ScratchDir &Scratch) {
+int runRssTable(const ScratchDir &Scratch) {
   constexpr size_t PayloadBytes = 256u << 20; // 256 MiB data section.
   std::string Path = Scratch.path("rss.wasm");
   {
@@ -243,7 +243,7 @@ int runServingTable(const bench::TinyFixture &Fixture,
   return 0;
 }
 
-int runIngestTable(const bench::ScratchDir &Scratch) {
+int runIngestTable(const ScratchDir &Scratch) {
   // Lay a synthetic corpus out on disk the way ingest sees real ones.
   frontend::CorpusSpec Spec;
   Spec.NumPackages = 60;
@@ -355,7 +355,7 @@ void runPass(model::ServeDaemon &Daemon,
 
 int runCrashSafeTable(const bench::TinyFixture &Fixture,
                       nn::Seq2SeqModel &Model,
-                      const bench::ScratchDir &Scratch) {
+                      const ScratchDir &Scratch) {
   // A dedup-heavy stream: 64 distinct inputs, each repeated 16 times,
   // round-robin interleaved.
   constexpr size_t Unique = 64, Repeats = 16;
@@ -455,7 +455,7 @@ int runCrashSafeTable(const bench::TinyFixture &Fixture,
 } // namespace
 
 int main() {
-  bench::ScratchDir Scratch("snowwhite_robustness");
+  ScratchDir Scratch("snowwhite_robustness");
 
   std::printf("Peak RSS: streamed vs. buffered decode\n\n");
   if (runRssTable(Scratch) != 0)

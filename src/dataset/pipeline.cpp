@@ -24,12 +24,10 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace snowwhite {
 namespace dataset {
 
-using frontend::CompiledObject;
 using frontend::Corpus;
 
 uint64_t Dataset::countParams(const std::vector<uint32_t> &Split) const {
@@ -66,32 +64,22 @@ std::string QuarantineReport::summary() const {
 
 namespace {
 
-/// A kept binary after dedup: parsed module + debug info + owning package.
+/// A module that survived dedup; Debug is filled by the debug-extract stage.
 struct KeptBinary {
   wasm::Module Mod;
   dwarf::DebugInfo Debug;
-  uint32_t PackageId;
-};
-
-/// A parsed module that survived dedup, queued for the shared downstream
-/// stages (debug extraction onward). Both ingest drivers — the buffered
-/// buildDataset and the streaming streamIngest — reduce to this shape, so
-/// everything from DWARF extraction to the split behaves identically.
-struct KeptParsed {
-  wasm::Module Mod;
   uint32_t PackageId = 0;
   uint32_t ObjectIndex = 0;
   uint64_t ByteSize = 0;
 };
 
-/// Runs the shared downstream stages over the deduped survivors: DWARF
-/// extraction and validation, dataflow analysis, function/subprogram
-/// matching, the name vocabulary, sample materialization, the per-package
-/// cap, and the split.
+/// Runs the downstream stages over the deduped survivors: DWARF extraction
+/// and validation, dataflow analysis, function/subprogram matching, the name
+/// vocabulary, sample materialization, the per-package cap, and the split.
 /// Out must arrive with NumPackages and the parse/dedup-stage counters
 /// already populated; this fills in everything else (including the final
 /// ingest.* telemetry counters).
-void finishDataset(std::vector<KeptParsed> KeptMods,
+void finishDataset(std::vector<KeptBinary> Candidates,
                    const DatasetOptions &Options, Dataset &Out) {
   ThreadPool &Pool = ThreadPool::global();
 
@@ -105,50 +93,43 @@ void finishDataset(std::vector<KeptParsed> KeptMods,
   };
 
   // Validation rides in the same parallel loop: the analysis, path and
-  // extraction stages below assume well-typed bodies.
+  // extraction stages below assume well-typed bodies. Rejections land in
+  // per-binary slots and replay in order below.
   BeginStage("ingest.debug_extract");
-  std::vector<std::optional<dwarf::DebugInfo>> Debugs(KeptMods.size());
-  std::vector<std::optional<Error>> DebugErrors(KeptMods.size());
-  std::vector<std::optional<Error>> ValidateErrors(KeptMods.size());
-  Pool.parallelFor(0, KeptMods.size(), 1, [&](size_t Begin, size_t End) {
+  std::vector<std::optional<QuarantineEntry>> Rejected(Candidates.size());
+  Pool.parallelFor(0, Candidates.size(), 1, [&](size_t Begin, size_t End) {
     for (size_t K = Begin; K < End; ++K) {
-      std::string Context = "package " +
-                            std::to_string(KeptMods[K].PackageId) + "/obj" +
-                            std::to_string(KeptMods[K].ObjectIndex);
-      Result<dwarf::DebugInfo> Debug =
-          dwarf::extractDebugInfo(KeptMods[K].Mod);
-      if (Debug.isErr()) {
-        DebugErrors[K].emplace(Debug.error().withContext(Context));
+      KeptBinary &Binary = Candidates[K];
+      Result<dwarf::DebugInfo> Debug = dwarf::extractDebugInfo(Binary.Mod);
+      Result<void> Valid =
+          Debug.isOk() ? wasm::validateModule(Binary.Mod) : Result<void>();
+      if (Debug.isOk() && Valid.isOk()) {
+        Binary.Debug = Debug.take();
         continue;
       }
-      if (Result<void> Valid = wasm::validateModule(KeptMods[K].Mod);
-          Valid.isErr()) {
-        ValidateErrors[K].emplace(Valid.error().withContext(Context));
-        continue;
-      }
-      Debugs[K].emplace(Debug.take());
+      Error Failure =
+          (Debug.isOk() ? Valid.error() : Debug.error())
+              .withContext("package " + std::to_string(Binary.PackageId) +
+                           "/obj" + std::to_string(Binary.ObjectIndex));
+      Rejected[K] = QuarantineEntry{Binary.PackageId, Binary.ObjectIndex,
+                                    Debug.isOk() ? "validate" : "debug-info",
+                                    Failure.code(), Failure.message()};
     }
   });
 
   std::vector<KeptBinary> Kept;
-  for (size_t K = 0; K < KeptMods.size(); ++K) {
-    if (!Debugs[K]) {
-      bool Invalid = ValidateErrors[K].has_value();
-      const Error &Failure = Invalid ? *ValidateErrors[K] : *DebugErrors[K];
-      ++(Invalid ? Out.Quarantine.ValidateFailures
-                 : Out.Quarantine.DebugFailures);
-      Out.Quarantine.Entries.push_back(
-          {KeptMods[K].PackageId, KeptMods[K].ObjectIndex,
-           Invalid ? "validate" : "debug-info", Failure.code(),
-           Failure.message()});
+  for (size_t K = 0; K < Candidates.size(); ++K) {
+    if (Rejected[K]) {
+      ++(Rejected[K]->Stage == "validate" ? Out.Quarantine.ValidateFailures
+                                          : Out.Quarantine.DebugFailures);
+      Out.Quarantine.Entries.push_back(std::move(*Rejected[K]));
       continue;
     }
     ++Out.Dedup.ObjectsAfter;
-    Out.Dedup.FunctionsAfter += KeptMods[K].Mod.Functions.size();
-    Out.Dedup.InstructionsAfter += KeptMods[K].Mod.countInstructions();
-    Out.Dedup.BytesAfter += KeptMods[K].ByteSize;
-    Kept.push_back(KeptBinary{std::move(KeptMods[K].Mod),
-                              std::move(*Debugs[K]), KeptMods[K].PackageId});
+    Out.Dedup.FunctionsAfter += Candidates[K].Mod.Functions.size();
+    Out.Dedup.InstructionsAfter += Candidates[K].Mod.countInstructions();
+    Out.Dedup.BytesAfter += Candidates[K].ByteSize;
+    Kept.push_back(std::move(Candidates[K]));
   }
 
   // --- Stage 1b: dataflow analysis over kept binaries ---------------------
@@ -393,115 +374,6 @@ void finishDataset(std::vector<KeptParsed> KeptMods,
 
 } // namespace
 
-Dataset buildDataset(const Corpus &Corpus, const DatasetOptions &Options) {
-  Dataset Out;
-  Out.NumPackages = static_cast<uint32_t>(Corpus.Packages.size());
-
-  telemetry::ScopedPhase IngestPhase("ingest.total");
-  std::unique_ptr<telemetry::ScopedPhase> Stage =
-      std::make_unique<telemetry::ScopedPhase>("ingest.parse_dedup");
-
-  // --- Stage 1: deduplication over serialized binaries -------------------
-  // Parsing and hashing every object is the expensive part and is pure, so
-  // it fans out over the pool into per-object slots. The dedup *decisions*
-  // (hash-set insertions) then replay sequentially in corpus order, making
-  // the kept set bit-identical to the sequential pipeline for any thread
-  // count.
-  ThreadPool &Pool = ThreadPool::global();
-
-  struct FlatObject {
-    const CompiledObject *Object;
-    uint32_t PackageId;
-    uint32_t ObjectIndex; ///< Index within the owning package.
-  };
-  std::vector<FlatObject> Flat;
-  for (const frontend::Package &Pkg : Corpus.Packages)
-    for (size_t Index = 0; Index < Pkg.Objects.size(); ++Index)
-      Flat.push_back({&Pkg.Objects[Index], Pkg.Id,
-                      static_cast<uint32_t>(Index)});
-
-  // Parse results and errors land in disjoint per-object slots; quarantine
-  // decisions (like dedup decisions) replay sequentially in corpus order, so
-  // the surviving set and the report are thread-count independent.
-  std::vector<std::optional<wasm::Module>> Mods(Flat.size());
-  std::vector<std::optional<Error>> ParseErrors(Flat.size());
-  std::vector<uint64_t> ExactHashes(Flat.size(), 0);
-  std::vector<uint64_t> ApproxSignatures(Flat.size(), 0);
-  std::vector<std::string> Abstractions(Flat.size());
-  Pool.parallelFor(0, Flat.size(), 1, [&](size_t Begin, size_t End) {
-    for (size_t I = Begin; I < End; ++I) {
-      // The pipeline consumes serialized bytes, as it would real binaries.
-      Result<wasm::Module> Parsed = wasm::readModule(Flat[I].Object->Bytes);
-      if (Parsed.isErr()) {
-        ParseErrors[I].emplace(Parsed.error().withContext(
-            "package " + std::to_string(Flat[I].PackageId) + "/obj" +
-            std::to_string(Flat[I].ObjectIndex)));
-        continue;
-      }
-      Mods[I].emplace(Parsed.take());
-      if (Options.Deduplicate) {
-        ExactHashes[I] = hashVector(Flat[I].Object->Bytes);
-        // Keep the full abstraction string alongside its hash: a 64-bit
-        // signature match alone is not proof of a near-duplicate, so the
-        // sequential replay below confirms byte-wise before dropping.
-        Abstractions[I] = wasm::moduleAbstraction(*Mods[I]);
-        ApproxSignatures[I] = hashString(Abstractions[I]);
-      }
-    }
-  });
-
-  SignatureSet SeenExact;
-  SignatureSet SeenApprox;
-  std::vector<size_t> KeptFlat; ///< Indices into Flat/Mods surviving dedup.
-  for (size_t I = 0; I < Flat.size(); ++I) {
-    const CompiledObject &Object = *Flat[I].Object;
-    ++Out.Dedup.ObjectsBefore;
-    Out.Dedup.FunctionsBefore += Object.Mod.Functions.size();
-    Out.Dedup.InstructionsBefore += Object.Mod.countInstructions();
-    Out.Dedup.BytesBefore += Object.Bytes.size();
-    if (!Mods[I]) {
-      ++Out.Quarantine.ParseFailures;
-      Out.Quarantine.Entries.push_back(
-          {Flat[I].PackageId, Flat[I].ObjectIndex, "parse",
-           ParseErrors[I]->code(), ParseErrors[I]->message()});
-      continue;
-    }
-    if (Options.Deduplicate) {
-      // Hash match alone never drops a module: both sets fall back to a
-      // byte-wise key comparison, so a 64-bit collision is kept (and
-      // counted) instead of being silently merged with a distinct module.
-      std::string ExactKey(Object.Bytes.begin(), Object.Bytes.end());
-      if (SeenExact.insert(ExactHashes[I], std::move(ExactKey)) ==
-          SignatureSet::Insert::Duplicate) {
-        ++Out.Dedup.ExactDuplicates;
-        continue;
-      }
-      if (SeenApprox.insert(ApproxSignatures[I],
-                            std::move(Abstractions[I])) ==
-          SignatureSet::Insert::Duplicate) {
-        ++Out.Dedup.NearDuplicates;
-        continue;
-      }
-    }
-    KeptFlat.push_back(I);
-  }
-  Out.Dedup.SignatureCollisions =
-      SeenExact.collisions() + SeenApprox.collisions();
-  if (Out.Dedup.SignatureCollisions)
-    telemetry::counter("ingest.signature_collisions")
-        .add(Out.Dedup.SignatureCollisions);
-
-  std::vector<KeptParsed> KeptMods;
-  KeptMods.reserve(KeptFlat.size());
-  for (size_t I : KeptFlat)
-    KeptMods.push_back({std::move(*Mods[I]), Flat[I].PackageId,
-                        Flat[I].ObjectIndex, Flat[I].Object->Bytes.size()});
-  Stage.reset();
-
-  finishDataset(std::move(KeptMods), Options, Out);
-  return Out;
-}
-
 Result<std::vector<IngestFile>> discoverWasmFiles(const std::string &Root) {
   namespace fs = std::filesystem;
   std::error_code DirError;
@@ -529,6 +401,8 @@ Result<std::vector<IngestFile>> discoverWasmFiles(const std::string &Root) {
             [](const IngestFile &A, const IngestFile &B) {
               return A.RelPath < B.RelPath;
             });
+  for (size_t I = 0; I < Files.size(); ++I)
+    Files[I].PackageId = static_cast<uint32_t>(I);
   return Files;
 }
 
@@ -546,56 +420,90 @@ uint64_t ingestConfigDigest(const StreamIngestOptions &Options) {
   return Digest;
 }
 
+/// Opens File's bytes: the borrowed buffer when set, else the file at Path.
+/// Both hand out at most WindowBytes per read.
+std::unique_ptr<io::ByteSource> openSource(const IngestFile &File,
+                                           size_t WindowBytes,
+                                           fault::FaultInjector *Faults) {
+  if (File.Bytes)
+    return std::make_unique<io::MemoryByteSource>(*File.Bytes, WindowBytes);
+  return std::make_unique<io::FileByteSource>(File.Path, WindowBytes, Faults);
+}
+
 /// Chunked byte-wise comparison of two files through bounded windows. This
-/// is the collision-safety confirm for the streaming exact dedup: a 64-bit
-/// hash match alone never drops a file, and confirming by re-reading costs
-/// memory proportional to the window, not the file.
-Result<bool> fileContentsEqual(const std::string &PathA,
-                               const std::string &PathB, size_t WindowBytes,
+/// is the collision-safety confirm for exact dedup: a 64-bit hash match
+/// alone never drops a file, and confirming by re-reading costs memory
+/// proportional to the window, not the file.
+Result<bool> fileContentsEqual(const IngestFile &FileA, const IngestFile &FileB,
+                               size_t WindowBytes,
                                fault::FaultInjector *Faults) {
-  io::FileByteSource A(PathA, WindowBytes, Faults);
-  io::FileByteSource B(PathB, WindowBytes, Faults);
-  auto FillChunk = [](io::ByteSource &Source, uint8_t *Buf,
-                      size_t N) -> Result<size_t> {
-    size_t Got = 0;
-    while (Got < N) {
-      Result<size_t> R = Source.readSome(Buf + Got, N - Got);
-      if (R.isErr())
-        return R;
-      if (*R == 0)
-        break;
-      Got += *R;
-    }
-    return Got;
-  };
-  uint8_t BufA[4096], BufB[4096];
+  std::unique_ptr<io::ByteSource> Sources[2] = {
+      openSource(FileA, WindowBytes, Faults),
+      openSource(FileB, WindowBytes, Faults)};
+  uint8_t Chunks[2][4096];
   for (;;) {
-    Result<size_t> GotA = FillChunk(A, BufA, sizeof(BufA));
-    if (GotA.isErr())
-      return GotA.error();
-    Result<size_t> GotB = FillChunk(B, BufB, sizeof(BufB));
-    if (GotB.isErr())
-      return GotB.error();
-    if (*GotA != *GotB)
+    size_t Got[2] = {0, 0};
+    for (size_t S = 0; S < 2; ++S)
+      while (Got[S] < sizeof(Chunks[S])) {
+        Result<size_t> R = Sources[S]->readSome(Chunks[S] + Got[S],
+                                                sizeof(Chunks[S]) - Got[S]);
+        if (R.isErr())
+          return R.error();
+        if (*R == 0)
+          break;
+        Got[S] += *R;
+      }
+    if (Got[0] != Got[1] ||
+        !std::equal(Chunks[0], Chunks[0] + Got[0], Chunks[1]))
       return false;
-    if (*GotA == 0)
+    if (Got[0] == 0)
       return true;
-    if (!std::equal(BufA, BufA + *GotA, BufB))
-      return false;
   }
 }
 
-} // namespace
+/// One file after the parse stage: the module (or why decoding failed) and
+/// the hashes its dedup decision needs. A pure function of the file's bytes.
+struct ParsedFile {
+  Result<wasm::Module> Mod = Error(ErrorCode::Unknown, "not parsed");
+  uint64_t Bytes = 0;      ///< Bytes consumed from the source.
+  uint64_t ExactHash = 0;  ///< Running hash over those bytes.
+  uint64_t ApproxHash = 0; ///< Hash of Abstraction.
+  std::string Abstraction; ///< Canonical abstraction; empty without dedup.
+};
 
-Result<StreamIngestResult> streamIngest(const std::vector<IngestFile> &Files,
-                                        const StreamIngestOptions &Options) {
+/// Streamed parse of one file under the byte budgets and, when Watched (not
+/// a journaled decision being replayed), the per-file watchdog.
+ParsedFile parseFile(const IngestFile &File, const StreamIngestOptions &Options,
+                     fault::FaultInjector *Faults, bool Watched) {
+  std::unique_ptr<io::ByteSource> Source =
+      openSource(File, Options.WindowBytes, Faults);
+  fault::Deadline Watchdog(Options.FileBudgetMillis, Faults);
+  wasm::ReadLimits Limits;
+  Limits.MaxSectionBytes = Options.MaxSectionBytes;
+  Limits.MaxModuleBytes = Options.MaxModuleBytes;
+  if (Watched)
+    Limits.Watchdog = &Watchdog;
+  ParsedFile Out;
+  Out.Mod = wasm::readModuleStreamed(*Source, Limits);
+  Out.Bytes = Source->consumed();
+  Out.ExactHash = Source->runningHash();
+  if (Out.Mod.isOk() && Options.Dataset.Deduplicate) {
+    Out.Abstraction = wasm::moduleAbstraction(*Out.Mod);
+    Out.ApproxHash = hashString(Out.Abstraction);
+  }
+  return Out;
+}
+
+Result<StreamIngestResult> ingest(const std::vector<IngestFile> &Files,
+                                  const StreamIngestOptions &Options,
+                                  uint32_t NumPackages) {
   StreamIngestResult Out;
   Dataset &Data = Out.Data;
-  Data.NumPackages = static_cast<uint32_t>(Files.size());
+  Data.NumPackages = NumPackages;
 
   telemetry::ScopedPhase IngestPhase("ingest.total");
-  std::unique_ptr<telemetry::ScopedPhase> Stage =
-      std::make_unique<telemetry::ScopedPhase>("ingest.stream_parse");
+  std::optional<telemetry::ScopedPhase> Stage(std::in_place,
+                                              "ingest.stream_parse");
   fault::FaultInjector *Faults =
       Options.Faults ? Options.Faults : fault::globalInjector();
   bool Journaling = !Options.JournalPath.empty();
@@ -648,10 +556,9 @@ Result<StreamIngestResult> streamIngest(const std::vector<IngestFile> &Files,
 
   // --- Dedup state ---------------------------------------------------------
   // Near dedup keeps the canonical abstraction strings (small) in a
-  // collision-checked SignatureSet, exactly like buildDataset. Exact dedup
-  // cannot afford full-file keys in a streaming ingest, so it buckets file
-  // indices by streaming hash and confirms candidate duplicates by chunked
-  // re-read — same collision-safety guarantee, window-bounded memory.
+  // collision-checked SignatureSet. Exact dedup cannot afford full-file keys,
+  // so it buckets file indices by streaming hash and confirms candidate
+  // duplicates by chunked re-read: collision-safe, window-bounded memory.
   SignatureSet SeenApprox;
   std::unordered_map<uint64_t, std::vector<size_t>> ExactBuckets;
   uint64_t ExactCollisions = 0;
@@ -662,7 +569,11 @@ Result<StreamIngestResult> streamIngest(const std::vector<IngestFile> &Files,
     Bucket.push_back(FileIndex);
   };
 
-  std::vector<KeptParsed> KeptMods;
+  std::vector<KeptBinary> KeptMods;
+  auto Keep = [&](size_t FileIndex, ParsedFile &Parsed) {
+    KeptMods.push_back({Parsed.Mod.take(), {}, Files[FileIndex].PackageId,
+                        Files[FileIndex].ObjectIndex, Parsed.Bytes});
+  };
 
   auto Publish = [&]() -> Result<void> {
     if (!Journaling)
@@ -682,17 +593,16 @@ Result<StreamIngestResult> streamIngest(const std::vector<IngestFile> &Files,
     Data.Dedup.BytesBefore += Rec.Bytes;
     Data.Dedup.FunctionsBefore += Rec.Functions;
     Data.Dedup.InstructionsBefore += Rec.Instructions;
+    const IngestFile &File = Files[FileIndex];
     switch (Rec.Outcome) {
     case journal::FileOutcome::Kept:
       break; // After-side stats accrue in the debug-extract stage.
     case journal::FileOutcome::QuarantinedParse:
-      ++Data.Quarantine.ParseFailures;
-      Data.Quarantine.Entries.push_back({static_cast<uint32_t>(FileIndex), 0,
-                                         Rec.Stage, Rec.Code, Rec.Message});
-      break;
     case journal::FileOutcome::QuarantinedWatchdog:
-      ++Data.Quarantine.WatchdogFailures;
-      Data.Quarantine.Entries.push_back({static_cast<uint32_t>(FileIndex), 0,
+      ++(Rec.Outcome == journal::FileOutcome::QuarantinedParse
+             ? Data.Quarantine.ParseFailures
+             : Data.Quarantine.WatchdogFailures);
+      Data.Quarantine.Entries.push_back({File.PackageId, File.ObjectIndex,
                                          Rec.Stage, Rec.Code, Rec.Message});
       break;
     case journal::FileOutcome::DuplicateExact:
@@ -704,57 +614,37 @@ Result<StreamIngestResult> streamIngest(const std::vector<IngestFile> &Files,
     }
   };
 
-  // Re-applies a journaled Kept decision: re-read and re-parse (downstream
-  // stages need the module anyway), verify the file still matches its
-  // journaled hash, and rebuild the dedup-set state byte-exactly.
-  auto ReplayKept = [&](size_t FileIndex,
-                        const journal::FileRecord &Rec) -> Result<void> {
-    io::FileByteSource Source(Files[FileIndex].Path, Options.WindowBytes,
-                              Faults);
-    wasm::ReadLimits Limits;
-    Limits.MaxSectionBytes = Options.MaxSectionBytes;
-    Limits.MaxModuleBytes = Options.MaxModuleBytes;
-    Result<wasm::Module> Parsed = wasm::readModuleStreamed(Source, Limits);
-    if (Parsed.isErr())
-      return Parsed.error().withContext(
-          "resume: journaled-kept file '" + Files[FileIndex].RelPath +
-          "' no longer parses");
-    if (Source.runningHash() != Rec.ExactHash)
+  // Re-applies a journaled Kept decision: verify the file still matches its
+  // journaled hashes, and rebuild the dedup-set state byte-exactly.
+  auto ReplayKept = [&](size_t FileIndex, const journal::FileRecord &Rec,
+                        ParsedFile &Parsed) -> Result<void> {
+    const std::string &RelPath = Files[FileIndex].RelPath;
+    if (Parsed.Mod.isErr())
+      return Parsed.Mod.error().withContext(
+          "resume: journaled-kept file '" + RelPath + "' no longer parses");
+    if (Parsed.ExactHash != Rec.ExactHash ||
+        Parsed.ApproxHash != Rec.ApproxHash)
       return Error(ErrorCode::ChecksumMismatch,
-                   "resume: file '" + Files[FileIndex].RelPath +
+                   "resume: file '" + RelPath +
                        "' changed since it was journaled");
-    wasm::Module Mod = Parsed.take();
     if (Options.Dataset.Deduplicate) {
       InsertExact(FileIndex, Rec.ExactHash);
-      std::string Abstraction = wasm::moduleAbstraction(Mod);
-      if (hashString(Abstraction) != Rec.ApproxHash)
-        return Error(ErrorCode::ChecksumMismatch,
-                     "resume: file '" + Files[FileIndex].RelPath +
-                         "' abstraction changed since it was journaled");
-      SeenApprox.insert(Rec.ApproxHash, std::move(Abstraction));
+      SeenApprox.insert(Rec.ApproxHash, std::move(Parsed.Abstraction));
     }
-    KeptMods.push_back({std::move(Mod), static_cast<uint32_t>(FileIndex), 0,
-                        Rec.Bytes});
+    Keep(FileIndex, Parsed);
     return {};
   };
 
-  // Decides one not-yet-journaled file: streamed parse under the per-file
-  // watchdog and byte budgets, then collision-safe dedup.
-  auto DecideFile = [&](size_t FileIndex,
+  // Decides one not-yet-journaled file from its parse: quarantine, or
+  // collision-safe dedup.
+  auto DecideFile = [&](size_t FileIndex, ParsedFile &Parsed,
                         journal::FileRecord &Rec) -> Result<void> {
     const IngestFile &File = Files[FileIndex];
     Rec.RelPath = File.RelPath;
-    io::FileByteSource Source(File.Path, Options.WindowBytes, Faults);
-    fault::Deadline Watchdog(Options.FileBudgetMillis, Faults);
-    wasm::ReadLimits Limits;
-    Limits.MaxSectionBytes = Options.MaxSectionBytes;
-    Limits.MaxModuleBytes = Options.MaxModuleBytes;
-    Limits.Watchdog = &Watchdog;
-    Result<wasm::Module> Parsed = wasm::readModuleStreamed(Source, Limits);
-    Rec.Bytes = Source.consumed();
+    Rec.Bytes = Parsed.Bytes;
     telemetry::histogram("ingest.stream.file_bytes").record(Rec.Bytes);
-    if (Parsed.isErr()) {
-      const Error &E = Parsed.error();
+    if (Parsed.Mod.isErr()) {
+      const Error &E = Parsed.Mod.error();
       // Timeout and the reader's byte-budget breaches are the watchdog's
       // verdicts; everything else is ordinary parse damage.
       bool Watchdogged =
@@ -768,16 +658,13 @@ Result<StreamIngestResult> streamIngest(const std::vector<IngestFile> &Files,
       Rec.Message = E.withContext(File.RelPath).message();
       return {};
     }
-    wasm::Module Mod = Parsed.take();
-    Rec.ExactHash = Source.runningHash();
-    Rec.Functions = Mod.Functions.size();
-    Rec.Instructions = Mod.countInstructions();
+    Rec.ExactHash = Parsed.ExactHash;
+    Rec.Functions = Parsed.Mod->Functions.size();
+    Rec.Instructions = Parsed.Mod->countInstructions();
     if (Options.Dataset.Deduplicate) {
-      std::vector<size_t> &Bucket = ExactBuckets[Rec.ExactHash];
-      for (size_t PriorIndex : Bucket) {
-        Result<bool> Same =
-            fileContentsEqual(Files[PriorIndex].Path, File.Path,
-                              Options.WindowBytes, Faults);
+      for (size_t PriorIndex : ExactBuckets[Rec.ExactHash]) {
+        Result<bool> Same = fileContentsEqual(Files[PriorIndex], File,
+                                              Options.WindowBytes, Faults);
         if (Same.isErr())
           return Same.error().withContext("dedup confirm for '" +
                                           File.RelPath + "'");
@@ -787,26 +674,43 @@ Result<StreamIngestResult> streamIngest(const std::vector<IngestFile> &Files,
         }
       }
       InsertExact(FileIndex, Rec.ExactHash);
-      std::string Abstraction = wasm::moduleAbstraction(Mod);
-      Rec.ApproxHash = hashString(Abstraction);
-      if (SeenApprox.insert(Rec.ApproxHash, std::move(Abstraction)) ==
+      Rec.ApproxHash = Parsed.ApproxHash;
+      if (SeenApprox.insert(Rec.ApproxHash, std::move(Parsed.Abstraction)) ==
           SignatureSet::Insert::Duplicate) {
         Rec.Outcome = journal::FileOutcome::DuplicateNear;
         return {};
       }
     }
     Rec.Outcome = journal::FileOutcome::Kept;
-    KeptMods.push_back({std::move(Mod), static_cast<uint32_t>(FileIndex), 0,
-                        Rec.Bytes});
+    Keep(FileIndex, Parsed);
     return {};
   };
 
+  // Files parse in windows as wide as the pool; only fresh and journaled-Kept
+  // files need a module. I/O and stall faults each draw from one shared
+  // random stream, so under those the window is one file and the draws keep
+  // the order of the decisions.
+  bool DrawsPerRead = Faults && (Faults->config().IoFailureRate > 0.0 ||
+                                 Faults->config().StallRate > 0.0);
+  size_t Width = DrawsPerRead ? 1 : ThreadPool::global().numThreads();
+  std::vector<ParsedFile> Window;
+
   // --- The per-file decision loop (strictly sequential in Files order) ----
   for (size_t I = 0; I < Files.size(); ++I) {
+    if (I % Width == 0) {
+      Window.clear();
+      Window.resize(std::min(Width, Files.size() - I));
+      ThreadPool::global().parallelTasks(Window.size(), [&](size_t K) {
+        bool Fresh = I + K >= ReplayCount;
+        if (Fresh || J.Records[I + K].Outcome == journal::FileOutcome::Kept)
+          Window[K] = parseFile(Files[I + K], Options, Faults, Fresh);
+      });
+    }
+    ParsedFile &Parsed = Window[I % Width];
     if (I < ReplayCount) {
       const journal::FileRecord &Rec = J.Records[I];
       if (Rec.Outcome == journal::FileOutcome::Kept) {
-        Result<void> Replayed = ReplayKept(I, Rec);
+        Result<void> Replayed = ReplayKept(I, Rec, Parsed);
         if (Replayed.isErr())
           return Replayed.error();
       } else if (Rec.Outcome == journal::FileOutcome::DuplicateNear &&
@@ -820,7 +724,7 @@ Result<StreamIngestResult> streamIngest(const std::vector<IngestFile> &Files,
       continue;
     }
     journal::FileRecord Rec;
-    Result<void> Decided = DecideFile(I, Rec);
+    Result<void> Decided = DecideFile(I, Parsed, Rec);
     if (Decided.isErr())
       return Decided.error();
     J.Records.push_back(Rec);
@@ -856,6 +760,34 @@ Result<StreamIngestResult> streamIngest(const std::vector<IngestFile> &Files,
 
   finishDataset(std::move(KeptMods), Options.Dataset, Data);
   return Out;
+}
+
+} // namespace
+
+Result<StreamIngestResult> streamIngest(const std::vector<IngestFile> &Files,
+                                        const StreamIngestOptions &Options) {
+  return ingest(Files, Options, static_cast<uint32_t>(Files.size()));
+}
+
+Dataset buildDataset(const Corpus &Corpus, const DatasetOptions &Options) {
+  std::vector<IngestFile> Files;
+  for (const frontend::Package &Pkg : Corpus.Packages)
+    for (uint32_t Index = 0; Index < Pkg.Objects.size(); ++Index)
+      Files.push_back({"",
+                       "package " + std::to_string(Pkg.Id) + "/obj" +
+                           std::to_string(Index),
+                       &Pkg.Objects[Index].Bytes, Pkg.Id, Index});
+  // An inert local injector: in-memory objects see no crash tick, stall or
+  // I/O fault, and a caller's global injector is never drawn from.
+  fault::FaultInjector NoFaults;
+  StreamIngestOptions Ingest;
+  Ingest.Dataset = Options;
+  Ingest.Faults = &NoFaults;
+  // Without a journal or a file on disk, nothing here can fail.
+  Result<StreamIngestResult> Out =
+      ingest(Files, Ingest, static_cast<uint32_t>(Corpus.Packages.size()));
+  assert(Out.isOk());
+  return std::move(Out->Data);
 }
 
 } // namespace dataset

@@ -1,11 +1,14 @@
 //===- dataset/pipeline.h - Corpus -> labeled dataset (paper §5) -----------===//
 //
-// Runs the full dataset construction over a corpus of compiled object files:
+// Runs the full dataset construction over a corpus of compiled object files.
+// streamIngest is the one front end; each object is a file on disk or a
+// borrowed in-memory buffer (buildDataset's corpus objects).
 //
-//  1. Deduplicate binaries: exact (whole-file hash) and near (approximate
-//     signature over abstracted instructions, order-sensitive).
-//  2. Parse each kept binary and its DWARF sections; match every wasm
-//     function to its subprogram DIE via the code offset.
+//  1. Parse each object and deduplicate: exact (whole-file hash, confirmed
+//     byte-wise) and near (approximate signature over abstracted
+//     instructions, order-sensitive).
+//  2. Extract each kept binary's DWARF sections; match every wasm function
+//     to its subprogram DIE via the code offset.
 //  3. Filter: skip functions whose wasm/DWARF parameter counts disagree
 //     (optimizations); extract a return sample only when DWARF has a
 //     non-void return type and the wasm function returns a value.
@@ -88,8 +91,7 @@ struct QuarantineReport {
   uint64_t DebugFailures = 0;  ///< DWARF sections missing or malformed.
   uint64_t ValidateFailures = 0; ///< wasm::validateModule rejected a module
                                  ///< that parsed (ill-typed body, bad index).
-  uint64_t WatchdogFailures = 0; ///< Per-file stall/byte-budget watchdog
-                                 ///< fired (streaming ingest only).
+  uint64_t WatchdogFailures = 0; ///< Stall/byte-budget watchdog fired.
   std::vector<QuarantineEntry> Entries;
 
   uint64_t total() const {
@@ -129,23 +131,28 @@ struct Dataset {
   uint64_t countReturns(const std::vector<uint32_t> &Split) const;
 };
 
-/// Runs the pipeline. Binaries are re-parsed from their serialized bytes, so
-/// the wasm and DWARF readers are on the hot path exactly as they would be
-/// on real binaries.
+/// Runs streamIngest over the corpus's serialized objects as in-memory
+/// buffers named "package <Id>/obj<index>", with no fault injector. The
+/// package count is Corpus.Packages.size().
 Dataset buildDataset(const frontend::Corpus &Corpus,
                      const DatasetOptions &Options = {});
 
-/// One object file queued for streaming ingest.
+/// One object file queued for ingest.
 struct IngestFile {
-  std::string Path;    ///< Full path, opened for reading.
+  std::string Path;    ///< Full path, opened for reading unless Bytes is set.
   std::string RelPath; ///< '/'-separated path relative to the ingest root;
                        ///< the stable identity journal records key on.
+  /// Borrowed in-memory image, read in place of Path when non-null.
+  const std::vector<uint8_t> *Bytes = nullptr;
+  uint32_t PackageId = 0;   ///< Owning package (split and cap unit).
+  uint32_t ObjectIndex = 0; ///< Index within the package.
 };
 
 /// Recursively discovers "*.wasm" files under Root. Deterministic: results
 /// are sorted by RelPath, so ingest order (and therefore package ids, dedup
 /// decisions, and the journal) is independent of directory enumeration
-/// order. Errors: IoError (unreadable root), NotFound (no matches).
+/// order. One package per file (PackageId = index). Errors: IoError
+/// (unreadable root), NotFound (no matches).
 Result<std::vector<IngestFile>> discoverWasmFiles(const std::string &Root);
 
 /// Streaming-ingest tuning. The per-file budgets feed the reader's
@@ -165,7 +172,7 @@ struct StreamIngestOptions {
   /// Per-section / whole-module decoded-byte budgets (wasm::ReadLimits).
   uint64_t MaxSectionBytes = 1ull << 30;
   uint64_t MaxModuleBytes = 1ull << 31;
-  /// FileByteSource read-ahead window.
+  /// Read window of a file or in-memory source.
   size_t WindowBytes = 64 * 1024;
   /// Fault injector for crash ticks, stalls, and I/O faults; null uses the
   /// process-global injector.
@@ -187,15 +194,15 @@ struct StreamIngestResult {
   std::optional<Error> JournalIssue;
 };
 
-/// Streaming, crash-safe corpus ingest: each file is decoded section-wise
-/// through a bounded window (never fully materialized), deduped
-/// collision-safely, journaled, and — after the whole corpus is decided —
-/// fed through the same downstream pipeline stages as buildDataset. One
-/// package per file (package id = index in Files). Decisions are strictly
-/// sequential in Files order, so a resumed run is bit-identical to an
-/// uninterrupted one; the parallel downstream stages keep buildDataset's
-/// thread-count invariance. Fatal errors (journal/corpus divergence) abort;
-/// per-file damage only ever quarantines.
+/// Streaming, crash-safe ingest: each file is decoded section-wise through a
+/// bounded window (never fully materialized), deduped collision-safely,
+/// journaled, and — after the whole corpus is decided — fed through the
+/// downstream stages. The package count is Files.size(). Files parse in
+/// windows as wide as the pool (one file under injected I/O or stall
+/// faults); decisions replay strictly in Files order, so a resumed run is
+/// bit-identical to an uninterrupted one and results are thread-count
+/// invariant. Fatal errors (journal/corpus divergence) abort; per-file
+/// damage only ever quarantines.
 Result<StreamIngestResult> streamIngest(const std::vector<IngestFile> &Files,
                                         const StreamIngestOptions &Options);
 

@@ -4,15 +4,26 @@
 #include "frontend/corpus.h"
 #include "model/predictor.h"
 #include "model/trainer.h"
+#include "support/scratch_dir.h"
 #include "support/str.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 namespace snowwhite {
 namespace {
+
+/// A fresh directory in this process's scratch directory, so two runs of
+/// this suite at once never share a file.
+std::string scratchDir(const std::string &Name) {
+  static ScratchDir Scratch("export_test");
+  std::string Dir = Scratch.path(Name);
+  std::filesystem::create_directories(Dir);
+  return Dir;
+}
 
 const dataset::Dataset &exportDataset() {
   static dataset::Dataset Data = [] {
@@ -36,7 +47,7 @@ static size_t countLines(const std::string &Path) {
 
 TEST(Export, WritesParallelFiles) {
   const dataset::Dataset &Data = exportDataset();
-  std::string Dir = ::testing::TempDir();
+  std::string Dir = scratchDir("parallel");
   Result<std::vector<uint64_t>> Written =
       dataset::exportPlaintext(Data, Dir);
   ASSERT_TRUE(Written.isOk()) << Written.error().message();
@@ -77,7 +88,7 @@ TEST(Export, WritesParallelFiles) {
 
 TEST(Export, EklavyaVariantWritesSingleLabels) {
   const dataset::Dataset &Data = exportDataset();
-  std::string Dir = ::testing::TempDir();
+  std::string Dir = scratchDir("eklavya");
   dataset::ExportOptions Options;
   Options.Language = typelang::TypeLanguageKind::TL_Eklavya;
   ASSERT_TRUE(dataset::exportPlaintext(Data, Dir, Options).isOk());

@@ -16,6 +16,7 @@
 #include "support/hash.h"
 #include "support/io.h"
 #include "support/leb128.h"
+#include "support/scratch_dir.h"
 #include "wasm/reader.h"
 #include "wasm/validate.h"
 #include "wasm/writer.h"
@@ -27,6 +28,13 @@
 
 namespace snowwhite {
 namespace {
+
+/// A path in this process's scratch directory, so two runs of this suite at
+/// once never share a file.
+std::string scratchPath(const std::string &Name) {
+  static ScratchDir Scratch("hostile_test");
+  return Scratch.path(Name);
+}
 
 // --- Helpers ---------------------------------------------------------------
 
@@ -305,7 +313,7 @@ TEST(FaultInjector, RetryBackoffRetriesOnlyTransient) {
 // --- Checksummed I/O -------------------------------------------------------
 
 TEST(CrashSafety, ChecksummedFileDetectsBitRot) {
-  std::string Path = ::testing::TempDir() + "/hostile_checksummed.bin";
+  std::string Path = scratchPath("hostile_checksummed.bin");
   std::vector<uint8_t> Payload = {1, 2, 3, 4, 5, 6, 7, 8, 9};
   ASSERT_TRUE(io::writeFileChecksummed(Path, Payload).isOk());
   Result<std::vector<uint8_t>> Back = io::readFileChecksummed(Path);
@@ -324,7 +332,7 @@ TEST(CrashSafety, ChecksummedFileDetectsBitRot) {
 }
 
 TEST(CrashSafety, TransientWriteFailuresAreRetried) {
-  std::string Path = ::testing::TempDir() + "/hostile_retry.bin";
+  std::string Path = scratchPath("hostile_retry.bin");
   fault::FaultConfig Config;
   Config.Seed = 3;
   Config.IoFailureRate = 0.5;
@@ -464,7 +472,7 @@ TEST_F(KillResume, ResumedRunIsBitIdentical) {
   model::TrainResult Reference = model::trainModel(Task, baseOptions());
 
   // Crash run: checkpoint every 2 batches, simulated kill before batch 5.
-  std::string Ckpt = ::testing::TempDir() + "/hostile_resume.ckpt";
+  std::string Ckpt = scratchPath("hostile_resume.ckpt");
   std::remove(Ckpt.c_str());
   model::TrainOptions CrashOptions = baseOptions();
   CrashOptions.CheckpointPath = Ckpt;
@@ -497,7 +505,7 @@ TEST_F(KillResume, ResumedRunIsBitIdentical) {
 
 TEST_F(KillResume, CorruptCheckpointFallsBackToFreshRun) {
   model::Task &Task = sharedTask();
-  std::string Ckpt = ::testing::TempDir() + "/hostile_bad.ckpt";
+  std::string Ckpt = scratchPath("hostile_bad.ckpt");
   std::vector<uint8_t> Garbage = {'n', 'o', 't', ' ', 'a', ' ', 'c', 'k'};
   ASSERT_TRUE(io::writeFileAtomic(Ckpt, Garbage).isOk());
 
@@ -518,7 +526,7 @@ TEST_F(KillResume, ModelSaveIsAtomicAndChecksummed) {
   Options.MaxEpochs = 1;
   model::TrainResult Trained = model::trainModel(Task, Options);
 
-  std::string Path = ::testing::TempDir() + "/hostile_model.bin";
+  std::string Path = scratchPath("hostile_model.bin");
   ASSERT_TRUE(Trained.Model->save(Path).isOk());
   // No temp file left behind.
   Result<std::vector<uint8_t>> Temp = io::readFileBytes(Path + ".tmp");
@@ -544,7 +552,7 @@ TEST_F(KillResume, ModelSaveIsAtomicAndChecksummed) {
 // because it covers them, the 8-byte checksum trailer.
 TEST_F(KillResume, CheckpointFileGolden) {
   model::Task &Task = sharedTask();
-  std::string Ckpt = ::testing::TempDir() + "/hostile_golden.ckpt";
+  std::string Ckpt = scratchPath("hostile_golden.ckpt");
   std::remove(Ckpt.c_str());
   model::TrainOptions Options = baseOptions();
   Options.MaxEpochs = 1;

@@ -15,6 +15,7 @@
 #include "support/fault.h"
 #include "support/hash.h"
 #include "support/io.h"
+#include "support/scratch_dir.h"
 #include "support/thread_pool.h"
 #include "wasm/reader.h"
 #include "wasm/writer.h"
@@ -31,6 +32,13 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// A path in this process's scratch directory, so two runs of this suite at
+/// once never share a file.
+std::string scratchPath(const std::string &Name) {
+  static ScratchDir Scratch("ingest_crash_test");
+  return Scratch.path(Name);
+}
+
 /// Builds a synthetic corpus and lays its object files out as a *nested*
 /// directory tree (one subdirectory per package, with every third package
 /// nested one level deeper) — the shape a real multi-project corpus has.
@@ -42,7 +50,7 @@ static std::string makeCorpusTree(const std::string &Name,
   Spec.Seed = Seed;
   frontend::Corpus Corpus = frontend::buildCorpus(Spec);
 
-  std::string Root = ::testing::TempDir() + "/" + Name;
+  std::string Root = scratchPath(Name);
   fs::remove_all(Root);
   for (size_t P = 0; P < Corpus.Packages.size(); ++P) {
     const frontend::Package &Pkg = Corpus.Packages[P];
@@ -100,6 +108,35 @@ static void expectSameDedupStats(const DedupStats &A, const DedupStats &B) {
   EXPECT_EQ(A.ExactDuplicates, B.ExactDuplicates);
   EXPECT_EQ(A.NearDuplicates, B.NearDuplicates);
   EXPECT_EQ(A.SignatureCollisions, B.SignatureCollisions);
+}
+
+/// Message without its leading context ("<name>: "): buildDataset names an
+/// object "package N/objM" where a file is named by its relative path.
+static std::string withoutContext(const std::string &Message) {
+  size_t Colon = Message.find(": ");
+  return Colon == std::string::npos ? Message : Message.substr(Colon + 2);
+}
+
+static void expectSameQuarantine(const QuarantineReport &A,
+                                 const QuarantineReport &B,
+                                 bool ModuloContext) {
+  EXPECT_EQ(A.ParseFailures, B.ParseFailures);
+  EXPECT_EQ(A.DebugFailures, B.DebugFailures);
+  EXPECT_EQ(A.ValidateFailures, B.ValidateFailures);
+  EXPECT_EQ(A.WatchdogFailures, B.WatchdogFailures);
+  ASSERT_EQ(A.Entries.size(), B.Entries.size());
+  for (size_t I = 0; I < A.Entries.size(); ++I) {
+    const QuarantineEntry &X = A.Entries[I];
+    const QuarantineEntry &Y = B.Entries[I];
+    EXPECT_EQ(X.PackageId, Y.PackageId);
+    EXPECT_EQ(X.ObjectIndex, Y.ObjectIndex);
+    EXPECT_EQ(X.Stage, Y.Stage);
+    EXPECT_EQ(X.Code, Y.Code);
+    if (ModuloContext)
+      EXPECT_EQ(withoutContext(X.Message), withoutContext(Y.Message));
+    else
+      EXPECT_EQ(X.Message, Y.Message);
+  }
 }
 
 static journal::IngestJournal makeSampleJournal() {
@@ -219,7 +256,7 @@ TEST(IngestJournal, RejectsSnapshotDisagreement) {
 }
 
 TEST(IngestJournal, FileLevelBitRotIsChecksumMismatch) {
-  std::string Path = ::testing::TempDir() + "/ingest_journal_bitrot.journal";
+  std::string Path = scratchPath("ingest_journal_bitrot.journal");
   journal::IngestJournal J = makeSampleJournal();
   ASSERT_TRUE(journal::saveJournal(Path, J).isOk());
   ASSERT_TRUE(journal::loadJournal(Path).isOk());
@@ -235,7 +272,7 @@ TEST(IngestJournal, FileLevelBitRotIsChecksumMismatch) {
 }
 
 TEST(IngestJournal, QuarantineMovesTheEvidenceAside) {
-  std::string Path = ::testing::TempDir() + "/ingest_journal_moved.journal";
+  std::string Path = scratchPath("ingest_journal_moved.journal");
   ASSERT_TRUE(journal::saveJournal(Path, makeSampleJournal()).isOk());
   std::string Target = journal::quarantineJournal(Path);
   EXPECT_EQ(Target, Path + ".quarantined");
@@ -292,7 +329,7 @@ TEST(IngestDiscovery, RecursesAndSortsByRelPath) {
   }
   EXPECT_TRUE(SawNested) << "fixture should exercise nested directories";
 
-  std::string Empty = ::testing::TempDir() + "/ingest_discover_empty";
+  std::string Empty = scratchPath("ingest_discover_empty");
   fs::remove_all(Empty);
   fs::create_directories(Empty);
   Result<std::vector<IngestFile>> None = discoverWasmFiles(Empty);
@@ -304,10 +341,22 @@ TEST(IngestDiscovery, RecursesAndSortsByRelPath) {
 
 TEST(StreamIngest, MatchesBufferedPipelineByteForByte) {
   std::string Root = makeCorpusTree("ingest_differential", 8, 23);
+  // One exact copy and one truncated file ride along, so the duplicate
+  // count and the quarantine report are compared too.
+  std::vector<IngestFile> Clean = discoverOrDie(Root);
+  ASSERT_FALSE(Clean.empty());
+  Result<std::vector<uint8_t>> Sample = io::readFileBytes(Clean[0].Path);
+  ASSERT_TRUE(Sample.isOk());
+  ASSERT_TRUE(io::writeFileAtomic(Root + "/zz_copy.wasm", *Sample).isOk());
+  std::vector<uint8_t> Truncated(
+      Sample->begin(),
+      Sample->begin() + static_cast<ptrdiff_t>(Sample->size() / 2));
+  ASSERT_TRUE(
+      io::writeFileAtomic(Root + "/zz_corrupt.wasm", Truncated).isOk());
   std::vector<IngestFile> Files = discoverOrDie(Root);
 
-  // The buffered reference: one package per file, same order, same as the
-  // CLI's --strict corpus construction (minus the fail-fast pre-checks).
+  // The buffered reference: one package per file, same order, each object
+  // holding only its bytes.
   frontend::Corpus Corpus;
   for (size_t I = 0; I < Files.size(); ++I) {
     Result<std::vector<uint8_t>> Bytes = io::readFileBytes(Files[I].Path);
@@ -323,6 +372,13 @@ TEST(StreamIngest, MatchesBufferedPipelineByteForByte) {
     ++Corpus.TotalObjects;
   }
   Dataset Buffered = buildDataset(Corpus);
+  std::string Tmp = scratchPath("ingest_differential_export");
+  std::string BufferedPrint = exportFingerprint(Buffered, Tmp + "_a");
+
+  // The same files as borrowed in-memory images.
+  std::vector<IngestFile> InMemory = Files;
+  for (size_t I = 0; I < InMemory.size(); ++I)
+    InMemory[I].Bytes = &Corpus.Packages[I].Objects[0].Bytes;
 
   // Streamed, across window sizes that straddle section boundaries.
   for (size_t Window : {size_t(7), size_t(64 * 1024)}) {
@@ -331,15 +387,22 @@ TEST(StreamIngest, MatchesBufferedPipelineByteForByte) {
     Result<StreamIngestResult> Streamed = streamIngest(Files, Options);
     ASSERT_TRUE(Streamed.isOk());
     EXPECT_FALSE(Streamed->Crashed);
-    std::string Tmp = ::testing::TempDir() + "/ingest_differential_export";
-    EXPECT_EQ(exportFingerprint(Buffered, Tmp + "_a"),
-              exportFingerprint(Streamed->Data, Tmp + "_b"))
+    const Dataset &Data = Streamed->Data;
+    EXPECT_EQ(Data.Quarantine.total(), 1u) << "window " << Window;
+    EXPECT_GE(Data.Dedup.ExactDuplicates, 1u) << "window " << Window;
+    EXPECT_EQ(BufferedPrint, exportFingerprint(Data, Tmp + "_b"))
         << "window " << Window;
-    EXPECT_EQ(Buffered.Dedup.ObjectsAfter, Streamed->Data.Dedup.ObjectsAfter);
-    EXPECT_EQ(Buffered.Dedup.ExactDuplicates,
-              Streamed->Data.Dedup.ExactDuplicates);
-    EXPECT_EQ(Buffered.Dedup.NearDuplicates,
-              Streamed->Data.Dedup.NearDuplicates);
+    expectSameDedupStats(Buffered.Dedup, Data.Dedup);
+    expectSameQuarantine(Buffered.Quarantine, Data.Quarantine,
+                         /*ModuloContext=*/true);
+
+    Result<StreamIngestResult> Memory = streamIngest(InMemory, Options);
+    ASSERT_TRUE(Memory.isOk());
+    EXPECT_EQ(BufferedPrint, exportFingerprint(Memory->Data, Tmp + "_c"))
+        << "window " << Window;
+    expectSameDedupStats(Data.Dedup, Memory->Data.Dedup);
+    expectSameQuarantine(Data.Quarantine, Memory->Data.Quarantine,
+                         /*ModuloContext=*/false);
   }
 }
 
@@ -386,7 +449,7 @@ static void runKillResumeAtThreads(unsigned Threads) {
   std::vector<IngestFile> Files = discoverOrDie(Root);
   ASSERT_GT(Files.size(), 6u);
   std::string Tmp =
-      ::testing::TempDir() + "/ingest_resume_t" + std::to_string(Threads);
+      scratchPath("ingest_resume_t") + std::to_string(Threads);
 
   // Uninterrupted reference run (journaling on, but never killed).
   StreamIngestOptions Base;
@@ -441,7 +504,7 @@ TEST(StreamIngest, KillAndResumeIsBitIdenticalFourThreads) {
 TEST(StreamIngest, DamagedJournalIsQuarantinedAndIngestRestarts) {
   std::string Root = makeCorpusTree("ingest_damaged_journal", 5, 47);
   std::vector<IngestFile> Files = discoverOrDie(Root);
-  std::string Tmp = ::testing::TempDir() + "/ingest_damaged_journal";
+  std::string Tmp = scratchPath("ingest_damaged_journal");
 
   StreamIngestOptions Base;
   Base.JournalPath = Tmp + ".journal";
@@ -477,7 +540,7 @@ TEST(StreamIngest, DamagedJournalIsQuarantinedAndIngestRestarts) {
 TEST(StreamIngest, StaleConfigDigestIsQuarantined) {
   std::string Root = makeCorpusTree("ingest_stale_config", 4, 53);
   std::vector<IngestFile> Files = discoverOrDie(Root);
-  std::string Tmp = ::testing::TempDir() + "/ingest_stale_config";
+  std::string Tmp = scratchPath("ingest_stale_config");
 
   StreamIngestOptions Base;
   Base.JournalPath = Tmp + ".journal";
@@ -551,13 +614,88 @@ TEST(StreamIngest, DecodedBytesBombIsQuarantinedOthersSurvive) {
   EXPECT_TRUE(FoundBomb);
 }
 
+// --- Thread-count identity under injected faults --------------------------
+
+/// Ingests Files with a fresh injector built from Config at the given pool
+/// width, and returns a digest of everything the caller sees: the exported
+/// dataset, every dedup counter, and each quarantine entry's identity, stage
+/// and code. Messages are returned whole in Messages (they name absolute
+/// paths, so they are compared between runs, never pinned).
+static std::string ingestDigestUnderFaults(const std::vector<IngestFile> &Files,
+                                           const fault::FaultConfig &Config,
+                                           unsigned Threads,
+                                           const std::string &ExportDir,
+                                           std::vector<std::string> &Messages) {
+  ThreadPool::resetGlobal(Threads);
+  fault::FaultInjector Faults(Config);
+  StreamIngestOptions Options;
+  Options.FileBudgetMillis = 60 * 1000; // Real clock far away; stalls fire.
+  Options.Faults = &Faults;
+  Result<StreamIngestResult> Ingested = streamIngest(Files, Options);
+  ThreadPool::resetGlobal(0);
+  if (Ingested.isErr())
+    return std::string("error ") + errorCodeName(Ingested.error().code());
+  const Dataset &Data = Ingested->Data;
+  const DedupStats &D = Data.Dedup;
+  std::string Digest = exportFingerprint(Data, ExportDir);
+  for (uint64_t Count :
+       {D.ObjectsBefore, D.ObjectsAfter, D.FunctionsBefore, D.FunctionsAfter,
+        D.InstructionsBefore, D.InstructionsAfter, D.BytesBefore, D.BytesAfter,
+        D.ExactDuplicates, D.NearDuplicates, D.SignatureCollisions,
+        Data.Quarantine.ParseFailures, Data.Quarantine.DebugFailures,
+        Data.Quarantine.ValidateFailures, Data.Quarantine.WatchdogFailures})
+    Digest += std::to_string(Count) + ",";
+  Messages.clear();
+  for (const QuarantineEntry &Entry : Data.Quarantine.Entries) {
+    Digest += "\n" + std::to_string(Entry.PackageId) + "/" +
+              std::to_string(Entry.ObjectIndex) + " " + Entry.Stage + " " +
+              errorCodeName(Entry.Code);
+    Messages.push_back(Entry.Message);
+  }
+  return hashToHex(hashString(Digest));
+}
+
+/// Runs the fault config at pool widths 1 and 4; both must give the same
+/// outcome, and that outcome must be Golden.
+static void expectSameOutcomeAtOneAndFourThreads(
+    const std::string &Name, const fault::FaultConfig &Config,
+    const std::string &Golden) {
+  std::string Root = makeCorpusTree(Name, 8, 83);
+  std::vector<IngestFile> Files = discoverOrDie(Root);
+  std::vector<std::string> MessagesOne, MessagesFour;
+  std::string One = ingestDigestUnderFaults(Files, Config, 1,
+                                            Root + "_export_1", MessagesOne);
+  std::string Four = ingestDigestUnderFaults(Files, Config, 4,
+                                             Root + "_export_4", MessagesFour);
+  EXPECT_EQ(One, Four);
+  EXPECT_EQ(MessagesOne, MessagesFour);
+  EXPECT_FALSE(MessagesOne.empty()) << "the faults must quarantine something";
+  EXPECT_EQ(One, Golden);
+}
+
+TEST(StreamIngest, IoFaultsGiveTheSameOutcomeAtOneAndFourThreads) {
+  fault::FaultConfig Config;
+  Config.Seed = 5;
+  Config.IoFailureRate = 0.25;
+  expectSameOutcomeAtOneAndFourThreads("ingest_io_faults", Config,
+                                       "aa1b50dcbf084c1d");
+}
+
+TEST(StreamIngest, StallsGiveTheSameOutcomeAtOneAndFourThreads) {
+  fault::FaultConfig Config;
+  Config.Seed = 6;
+  Config.StallRate = 0.02;
+  expectSameOutcomeAtOneAndFourThreads("ingest_stalls", Config,
+                                       "6698f7993b2d933f");
+}
+
 // --- Atomic artifact publication ------------------------------------------
 
 TEST(StreamIngest, FailedAtomicPublishLeavesPriorArtifactIntact) {
   // The quarantine report / metrics files publish via writeFileAtomic; a
   // persistent injected I/O fault must fail the write *and* leave the
   // previous artifact untouched (no torn or truncated report).
-  std::string Path = ::testing::TempDir() + "/ingest_report.txt";
+  std::string Path = scratchPath("ingest_report.txt");
   std::vector<uint8_t> Original = {'o', 'k', '\n'};
   ASSERT_TRUE(io::writeFileAtomic(Path, Original).isOk());
 
@@ -578,7 +716,7 @@ TEST(StreamIngest, JournalPublishFailureAbortsTheRun) {
   std::string Root = makeCorpusTree("ingest_publish_fail", 3, 71);
   std::vector<IngestFile> Files = discoverOrDie(Root);
   std::string JournalPath =
-      ::testing::TempDir() + "/ingest_publish_fail.journal";
+      scratchPath("ingest_publish_fail.journal");
   fs::remove(JournalPath);
 
   fault::FaultConfig IoConfig;

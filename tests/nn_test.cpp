@@ -4,6 +4,7 @@
 #include "nn/layers.h"
 #include "nn/seq2seq.h"
 #include "support/hash.h"
+#include "support/scratch_dir.h"
 
 #include <gtest/gtest.h>
 
@@ -47,6 +48,13 @@ void operator delete(void *P, std::size_t) noexcept { std::free(P); }
 namespace snowwhite {
 namespace nn {
 namespace {
+
+/// A path in this process's scratch directory, so two runs of this suite at
+/// once never share a file.
+std::string scratchPath(const std::string &Name) {
+  static ScratchDir Scratch("nn_test");
+  return Scratch.path(Name);
+}
 
 // --- Numerical gradient checking ---------------------------------------------
 //
@@ -580,7 +588,7 @@ TEST(Seq2Seq, SaveLoadRoundtrip) {
   std::vector<std::vector<uint32_t>> Targets = {{7, 8}};
   Model.trainBatch(Sources, Targets, Optimizer);
 
-  std::string Path = ::testing::TempDir() + "/snowwhite_model.bin";
+  std::string Path = scratchPath("snowwhite_model.bin");
   Result<void> Saved = Model.save(Path);
   ASSERT_TRUE(Saved.isOk()) << Saved.error().message();
   Result<Seq2SeqModel> Loaded = Seq2SeqModel::load(Path);
@@ -597,7 +605,7 @@ TEST(Seq2Seq, SaveLoadRoundtrip) {
 }
 
 TEST(Seq2Seq, LoadRejectsCorruptFiles) {
-  std::string Path = ::testing::TempDir() + "/not_a_model.bin";
+  std::string Path = scratchPath("not_a_model.bin");
   FILE *File = std::fopen(Path.c_str(), "wb");
   ASSERT_NE(File, nullptr);
   std::fputs("garbage", File);

@@ -15,6 +15,7 @@
 #include "support/fault.h"
 #include "support/hash.h"
 #include "support/io.h"
+#include "support/scratch_dir.h"
 #include "support/telemetry.h"
 #include "support/thread_pool.h"
 
@@ -27,8 +28,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 namespace snowwhite {
 namespace model {
@@ -70,11 +69,11 @@ TrainOptions tinyTrainOptions() {
   return Options;
 }
 
-/// A file name under the test temp directory that is private to this
-/// process, so two runs of this binary (say, from two build trees) never
-/// write the same file.
-std::string processTempPath(const std::string &Name) {
-  return ::testing::TempDir() + "/" + Name + "." + std::to_string(getpid());
+/// A path in this process's scratch directory, so two runs of this suite at
+/// once never share a file.
+std::string scratchPath(const std::string &Name) {
+  static ScratchDir Scratch("robustness_test");
+  return Scratch.path(Name);
 }
 
 /// One trained model shared by the serving tests (training is the slow part).
@@ -506,7 +505,7 @@ TEST(Serving, RegistryCountersMirrorEngineStats) {
 // reported training time go *down*. The checkpoint now carries the
 // accumulated seconds, so time is monotone across any number of resumes.
 TEST(TrainerTime, AccumulatedSecondsAreMonotoneAcrossResumes) {
-  std::string Ckpt = processTempPath("robustness_time.ckpt");
+  std::string Ckpt = scratchPath("robustness_time.ckpt");
   std::remove(Ckpt.c_str());
 
   auto RunSegment = [&](uint64_t CrashAtTick, bool Resume) {
@@ -544,7 +543,7 @@ TEST(TrainerTime, AccumulatedSecondsAreMonotoneAcrossResumes) {
 
 TEST(CheckpointIntegrity, CorruptedModelFileIsRejectedWithTaxonomyCode) {
   ServingFixture &Fixture = servingFixture();
-  std::string Path = processTempPath("robustness_model.bin");
+  std::string Path = scratchPath("robustness_model.bin");
   ASSERT_TRUE(Fixture.Trained.Model->save(Path).isOk());
 
   Result<std::vector<uint8_t>> Bytes = io::readFileBytes(Path);

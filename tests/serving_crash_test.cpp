@@ -37,6 +37,7 @@
 #include "support/fault.h"
 #include "support/hash.h"
 #include "support/io.h"
+#include "support/scratch_dir.h"
 #include "support/telemetry.h"
 #include "support/thread_pool.h"
 
@@ -55,6 +56,13 @@ namespace model {
 namespace {
 
 using dataset::Dataset;
+
+/// A path in this process's scratch directory, so two runs of this suite at
+/// once never share a file.
+std::string scratchPath(const std::string &Name) {
+  static ScratchDir Scratch("serving_crash_test");
+  return Scratch.path(Name);
+}
 
 const Dataset &sharedDataset() {
   static Dataset Data = [] {
@@ -205,7 +213,7 @@ TEST(CacheSnapshot, RoundTripIsBitIdentical) {
   Cfg.NumShards = 4;
   PredictionCache Original(Cfg);
   std::vector<std::string> Keys = fillCache(Original, 32);
-  std::string Path = ::testing::TempDir() + "/crash_roundtrip.snapshot";
+  std::string Path = scratchPath("crash_roundtrip.snapshot");
   ASSERT_TRUE(Original.saveSnapshot(Path).isOk());
 
   PredictionCache Restored(Cfg);
@@ -237,7 +245,7 @@ TEST(CacheSnapshot, LoadsAcrossShardCountChange) {
   WideCfg.NumShards = 8;
   PredictionCache Wide(WideCfg);
   std::vector<std::string> Keys = fillCache(Wide, 24);
-  std::string Path = ::testing::TempDir() + "/crash_reshard.snapshot";
+  std::string Path = scratchPath("crash_reshard.snapshot");
   ASSERT_TRUE(Wide.saveSnapshot(Path).isOk());
 
   PredictionCache::Config NarrowCfg;
@@ -256,7 +264,7 @@ TEST(CacheSnapshot, LoadsAcrossShardCountChange) {
 TEST(CacheSnapshot, TruncatedTailQuarantinesOnlyTheTail) {
   PredictionCache Cache;
   fillCache(Cache, 32);
-  std::string Path = ::testing::TempDir() + "/crash_truncated.snapshot";
+  std::string Path = scratchPath("crash_truncated.snapshot");
   ASSERT_TRUE(Cache.saveSnapshot(Path).isOk());
 
   std::vector<uint8_t> Bytes = mustRead(Path);
@@ -283,7 +291,7 @@ TEST(CacheSnapshot, TruncatedTailQuarantinesOnlyTheTail) {
 TEST(CacheSnapshot, FlippedPayloadByteQuarantinesOneSegment) {
   PredictionCache Cache;
   std::vector<std::string> Keys = fillCache(Cache, 32);
-  std::string Path = ::testing::TempDir() + "/crash_bitflip.snapshot";
+  std::string Path = scratchPath("crash_bitflip.snapshot");
   ASSERT_TRUE(Cache.saveSnapshot(Path).isOk());
 
   std::vector<uint8_t> Bytes = mustRead(Path);
@@ -320,7 +328,7 @@ TEST(CacheSnapshot, FlippedPayloadByteQuarantinesOneSegment) {
 TEST(CacheSnapshot, OversizedLengthFieldQuarantinesSegment) {
   PredictionCache Cache;
   fillCache(Cache, 32);
-  std::string Path = ::testing::TempDir() + "/crash_oversized.snapshot";
+  std::string Path = scratchPath("crash_oversized.snapshot");
   ASSERT_TRUE(Cache.saveSnapshot(Path).isOk());
 
   std::vector<uint8_t> Bytes = mustRead(Path);
@@ -351,7 +359,7 @@ TEST(CacheSnapshot, OversizedLengthFieldQuarantinesSegment) {
 TEST(CacheSnapshot, FileLevelDamageFailsTheWholeLoad) {
   PredictionCache Cache;
   fillCache(Cache, 8);
-  std::string Path = ::testing::TempDir() + "/crash_filelevel.snapshot";
+  std::string Path = scratchPath("crash_filelevel.snapshot");
   ASSERT_TRUE(Cache.saveSnapshot(Path).isOk());
   std::vector<uint8_t> Good = mustRead(Path);
 
@@ -394,7 +402,7 @@ TEST(CacheSnapshot, FileLevelDamageFailsTheWholeLoad) {
 
   // Missing file: IoError, so a caller can tell cold start from damage.
   PredictionCache D;
-  Loaded = D.loadSnapshot(::testing::TempDir() + "/crash_nonexistent.snap");
+  Loaded = D.loadSnapshot(scratchPath("crash_nonexistent.snap"));
   ASSERT_TRUE(Loaded.isErr());
   EXPECT_EQ(Loaded.error().code(), ErrorCode::IoError);
 }
@@ -404,7 +412,7 @@ TEST(CacheSnapshot, FileLevelDamageFailsTheWholeLoad) {
 TEST(CacheSnapshot, KilledSaveLeavesPreviousSnapshotIntact) {
   PredictionCache Cache;
   std::vector<std::string> Keys = fillCache(Cache, 16);
-  std::string Path = ::testing::TempDir() + "/crash_killed.snapshot";
+  std::string Path = scratchPath("crash_killed.snapshot");
   ASSERT_TRUE(Cache.saveSnapshot(Path).isOk());
   std::vector<uint8_t> Good = mustRead(Path);
 
@@ -649,7 +657,7 @@ struct RestartRunResult {
 RestartRunResult runRestartWorkload(unsigned Threads) {
   ThreadPool::resetGlobal(Threads);
   CrashFixture &F = fixture();
-  std::string Path = ::testing::TempDir() + "/crash_restart_t" +
+  std::string Path = scratchPath("crash_restart_t") +
                      std::to_string(Threads) + ".snapshot";
   std::remove(Path.c_str());
   DaemonOptions Opts;
@@ -735,7 +743,7 @@ TEST(DaemonRestart, WarmHitsAreBitIdenticalAcrossThreadCounts) {
 TEST(DaemonRestart, CadenceSnapshotsDuringSteadyTraffic) {
   ThreadPool::resetGlobal(2);
   CrashFixture &F = fixture();
-  std::string Path = ::testing::TempDir() + "/crash_cadence.snapshot";
+  std::string Path = scratchPath("crash_cadence.snapshot");
   std::remove(Path.c_str());
   DaemonOptions Opts;
   Opts.NumWorkers = 2;
@@ -825,7 +833,7 @@ TEST(SnapshotFormat, Version2MovedOnlyTheVersionSlot) {
 TEST(SnapshotFormat, Version1SnapshotIsAColdStart) {
   ThreadPool::resetGlobal(1);
   CrashFixture &F = fixture();
-  std::string Path = ::testing::TempDir() + "/crash_v1.snapshot";
+  std::string Path = scratchPath("crash_v1.snapshot");
   std::remove(Path.c_str());
   DaemonOptions Opts;
   Opts.NumWorkers = 2;

@@ -389,70 +389,51 @@ static int commandIngest(int argc, char **argv) {
   bool Strict = false;
   std::string MetricsOut, TraceOut, ReportOut, ExportDir;
   dataset::StreamIngestOptions Options;
-  uint64_t CrashAtFile = 0;
+  uint64_t CrashAtFile = 0, WindowBytes = Options.WindowBytes;
+  const std::pair<const char *, bool *> Switches[] = {
+      {"--strict", &Strict}, {"--resume", &Options.Resume}};
+  const std::pair<const char *, std::string *> Strings[] = {
+      {"--journal", &Options.JournalPath}, {"--export-dir", &ExportDir},
+      {"--report-out", &ReportOut},        {"--metrics-out", &MetricsOut},
+      {"--trace-out", &TraceOut}};
+  const std::pair<const char *, uint64_t *> Numbers[] = {
+      {"--journal-every", &Options.JournalEvery},
+      {"--file-budget-ms", &Options.FileBudgetMillis},
+      {"--max-section-bytes", &Options.MaxSectionBytes},
+      {"--max-module-bytes", &Options.MaxModuleBytes},
+      {"--window-bytes", &WindowBytes},
+      {"--crash-at-file", &CrashAtFile}};
   for (int I = 1; I < argc; ++I) {
-    auto Value = [&](const char *Flag) -> const char * {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\nusage: %s\n", Flag, Usage);
-        return nullptr;
-      }
-      return argv[++I];
+    auto Named = [Arg = argv[I]](const auto &Entry) {
+      return std::strcmp(Arg, Entry.first) == 0;
     };
-    const char *V = nullptr;
-    if (std::strcmp(argv[I], "--strict") == 0) {
-      Strict = true;
-    } else if (std::strcmp(argv[I], "--journal") == 0) {
-      if (!(V = Value("--journal")))
-        return 2;
-      Options.JournalPath = V;
-    } else if (std::strcmp(argv[I], "--resume") == 0) {
-      Options.Resume = true;
-    } else if (std::strcmp(argv[I], "--journal-every") == 0) {
-      if (!(V = Value("--journal-every")))
-        return 2;
-      Options.JournalEvery = static_cast<uint64_t>(std::atoll(V));
-    } else if (std::strcmp(argv[I], "--file-budget-ms") == 0) {
-      if (!(V = Value("--file-budget-ms")))
-        return 2;
-      Options.FileBudgetMillis = static_cast<uint64_t>(std::atoll(V));
-    } else if (std::strcmp(argv[I], "--max-section-bytes") == 0) {
-      if (!(V = Value("--max-section-bytes")))
-        return 2;
-      Options.MaxSectionBytes = static_cast<uint64_t>(std::atoll(V));
-    } else if (std::strcmp(argv[I], "--max-module-bytes") == 0) {
-      if (!(V = Value("--max-module-bytes")))
-        return 2;
-      Options.MaxModuleBytes = static_cast<uint64_t>(std::atoll(V));
-    } else if (std::strcmp(argv[I], "--window-bytes") == 0) {
-      if (!(V = Value("--window-bytes")))
-        return 2;
-      Options.WindowBytes = static_cast<size_t>(std::atoll(V));
-    } else if (std::strcmp(argv[I], "--crash-at-file") == 0) {
-      if (!(V = Value("--crash-at-file")))
-        return 2;
-      CrashAtFile = static_cast<uint64_t>(std::atoll(V));
-    } else if (std::strcmp(argv[I], "--export-dir") == 0) {
-      if (!(V = Value("--export-dir")))
-        return 2;
-      ExportDir = V;
-    } else if (std::strcmp(argv[I], "--report-out") == 0) {
-      if (!(V = Value("--report-out")))
-        return 2;
-      ReportOut = V;
-    } else if (std::strcmp(argv[I], "--metrics-out") == 0) {
-      if (!(V = Value("--metrics-out")))
-        return 2;
-      MetricsOut = V;
-    } else if (std::strcmp(argv[I], "--trace-out") == 0) {
-      if (!(V = Value("--trace-out")))
-        return 2;
-      TraceOut = V;
-    } else {
+    const auto *Switch = std::find_if(std::begin(Switches),
+                                      std::end(Switches), Named);
+    const auto *String =
+        std::find_if(std::begin(Strings), std::end(Strings), Named);
+    const auto *Number =
+        std::find_if(std::begin(Numbers), std::end(Numbers), Named);
+    if (Switch != std::end(Switches)) {
+      *Switch->second = true;
+      continue;
+    }
+    if (String == std::end(Strings) && Number == std::end(Numbers)) {
       std::fprintf(stderr, "unknown ingest option '%s'\nusage: %s\n", argv[I],
                    Usage);
       return 2;
     }
+    if (I + 1 >= argc) {
+      std::fprintf(stderr, "%s requires a value\nusage: %s\n", argv[I],
+                   Usage);
+      return 2;
+    }
+    const char *V = argv[++I];
+    if (String != std::end(Strings))
+      *String->second = V;
+    else
+      *Number->second = static_cast<uint64_t>(std::atoll(V));
   }
+  Options.WindowBytes = static_cast<size_t>(WindowBytes);
 
   // Nested trees are the norm for real corpora (one subdirectory per
   // project); discovery recurses and sorts by relative path, so ingest
@@ -464,78 +445,54 @@ static int commandIngest(int argc, char **argv) {
     return 1;
   }
 
-  dataset::Dataset Data;
+  // One streaming, crash-safe path: bounded memory, journal, per-file
+  // watchdog. --strict runs it without a journal and fails on the first
+  // quarantined file instead of reporting it.
   if (Strict) {
-    // Fail-fast buffered path: the first corrupt module aborts the run.
-    frontend::Corpus Corpus;
-    for (size_t I = 0; I < Files->size(); ++I) {
-      const dataset::IngestFile &File = (*Files)[I];
-      std::vector<uint8_t> Bytes;
-      if (!readFile(File.Path, Bytes))
-        return 1;
-      Result<wasm::Module> Parsed = wasm::readModule(Bytes);
-      if (Parsed.isErr()) {
-        printError(Parsed.error().withContext(File.Path));
-        return 1;
-      }
-      Result<void> Valid = wasm::validateModule(*Parsed);
-      if (Valid.isErr()) {
-        printError(Valid.error().withContext(File.Path));
-        return 1;
-      }
-      Result<dwarf::DebugInfo> Debug = dwarf::extractDebugInfo(*Parsed);
-      if (Debug.isErr()) {
-        printError(Debug.error().withContext(File.Path));
-        return 1;
-      }
-      // One package per file: real package structure is unknown for
-      // arbitrary inputs, and the pipeline only uses packages for splits
-      // and caps.
-      frontend::Package Pkg;
-      Pkg.Name = std::filesystem::path(File.Path).stem().string();
-      Pkg.Id = static_cast<uint32_t>(I);
-      frontend::CompiledObject Object;
-      Object.FileName = File.Path;
-      Object.Bytes = std::move(Bytes);
-      Pkg.Objects.push_back(std::move(Object));
-      Corpus.Packages.push_back(std::move(Pkg));
-      ++Corpus.TotalObjects;
-    }
-    Data = dataset::buildDataset(Corpus);
-  } else {
-    // Streaming crash-safe path (the default): bounded memory, journal,
-    // per-file watchdog.
-    fault::FaultConfig CrashConfig;
-    CrashConfig.CrashAtTick = CrashAtFile; // 0 = never fires.
-    fault::FaultInjector CrashFaults(CrashConfig);
-    if (CrashAtFile > 0)
-      Options.Faults = &CrashFaults;
-    Result<dataset::StreamIngestResult> Ingested =
-        dataset::streamIngest(*Files, Options);
-    if (Ingested.isErr()) {
-      printError(Ingested.error());
-      return 1;
-    }
-    if (Ingested->JournalIssue) {
-      std::fprintf(stderr, "warning: journal quarantined to '%s': %s\n",
-                   Ingested->JournalQuarantinedPath.c_str(),
-                   Ingested->JournalIssue->message().c_str());
-      std::fprintf(stderr, "warning: ingest restarted from scratch\n");
-    }
-    if (Ingested->Crashed) {
-      // Simulated kill -9: the journal stays at its last published state
-      // and nothing downstream runs. A later --resume picks up from there.
-      std::printf("ingest crashed (injected) after %llu file(s); journal at "
-                  "last publish\n",
-                  static_cast<unsigned long long>(Ingested->FilesProcessed));
-      return 3;
-    }
-    if (Ingested->FilesReplayed)
-      std::printf("resumed: %llu file(s) replayed from the journal, %llu "
-                  "decided fresh\n",
-                  static_cast<unsigned long long>(Ingested->FilesReplayed),
-                  static_cast<unsigned long long>(Ingested->FilesProcessed));
-    Data = std::move(Ingested->Data);
+    Options.JournalPath.clear();
+    CrashAtFile = 0;
+  }
+  fault::FaultConfig CrashConfig;
+  CrashConfig.CrashAtTick = CrashAtFile; // 0 = never fires.
+  fault::FaultInjector CrashFaults(CrashConfig);
+  if (CrashAtFile > 0)
+    Options.Faults = &CrashFaults;
+  Result<dataset::StreamIngestResult> Ingested =
+      dataset::streamIngest(*Files, Options);
+  if (Ingested.isErr()) {
+    printError(Ingested.error());
+    return 1;
+  }
+  if (Ingested->JournalIssue) {
+    std::fprintf(stderr, "warning: journal quarantined to '%s': %s\n",
+                 Ingested->JournalQuarantinedPath.c_str(),
+                 Ingested->JournalIssue->message().c_str());
+    std::fprintf(stderr, "warning: ingest restarted from scratch\n");
+  }
+  if (Ingested->Crashed) {
+    // Simulated kill -9: the journal stays at its last published state
+    // and nothing downstream runs. A later --resume picks up from there.
+    std::printf("ingest crashed (injected) after %llu file(s); journal at "
+                "last publish\n",
+                static_cast<unsigned long long>(Ingested->FilesProcessed));
+    return 3;
+  }
+  if (Ingested->FilesReplayed)
+    std::printf("resumed: %llu file(s) replayed from the journal, %llu "
+                "decided fresh\n",
+                static_cast<unsigned long long>(Ingested->FilesReplayed),
+                static_cast<unsigned long long>(Ingested->FilesProcessed));
+  dataset::Dataset Data = std::move(Ingested->Data);
+  if (Strict && !Data.Quarantine.empty()) {
+    // One package per file, so the lowest package id is the first file.
+    const dataset::QuarantineEntry &First = *std::min_element(
+        Data.Quarantine.Entries.begin(), Data.Quarantine.Entries.end(),
+        [](const dataset::QuarantineEntry &A,
+           const dataset::QuarantineEntry &B) {
+          return A.PackageId < B.PackageId;
+        });
+    printError(Error(First.Code, First.Message));
+    return 1;
   }
 
   std::string Summary = ingestSummary(Data, Files->size());

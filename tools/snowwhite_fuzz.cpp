@@ -403,7 +403,7 @@ int runCfgFuzz(uint64_t Iterations, uint64_t Seed) {
 int runCheckpointFuzz(uint64_t Iterations, uint64_t Seed) {
   // Produce one genuine model file and one genuine trainer checkpoint.
   bench::TinyFixture Fixture = bench::makeTinyFixture(Seed);
-  bench::ScratchDir Scratch("snowwhite_fuzz");
+  ScratchDir Scratch("snowwhite_fuzz");
   std::string CkptPath = Scratch.path("ckpt");
   std::string ModelPath = Scratch.path("model");
   std::string MutantPath = Scratch.path("mutant");
@@ -818,7 +818,7 @@ int runDaemonChaos(uint64_t Events, uint64_t Seed) {
   model::TrainResult Trained =
       model::trainModel(*Fixture.BoundTask, Fixture.Options);
 
-  bench::ScratchDir Scratch("snowwhite_chaos");
+  ScratchDir Scratch("snowwhite_chaos");
   std::string SnapshotPath = Scratch.path("snapshot");
   std::string ScratchPath = Scratch.path("scratch");
 
