@@ -64,22 +64,31 @@ std::string QuarantineReport::summary() const {
 
 namespace {
 
-/// A module that survived dedup; Debug is filled by the debug-extract stage.
+/// A kept binary after dedup: parsed module + debug info + owning package.
 struct KeptBinary {
   wasm::Module Mod;
   dwarf::DebugInfo Debug;
+  uint32_t PackageId;
+};
+
+/// A parsed module that survived dedup, queued for the shared downstream
+/// stages (debug extraction onward).
+struct KeptParsed {
+  wasm::Module Mod;
+  std::string Name; ///< Names the object in error context.
   uint32_t PackageId = 0;
   uint32_t ObjectIndex = 0;
   uint64_t ByteSize = 0;
 };
 
-/// Runs the downstream stages over the deduped survivors: DWARF extraction
-/// and validation, dataflow analysis, function/subprogram matching, the name
-/// vocabulary, sample materialization, the per-package cap, and the split.
+/// Runs the shared downstream stages over the deduped survivors: DWARF
+/// extraction and validation, dataflow analysis, function/subprogram
+/// matching, the name vocabulary, sample materialization, the per-package
+/// cap, and the split.
 /// Out must arrive with NumPackages and the parse/dedup-stage counters
 /// already populated; this fills in everything else (including the final
 /// ingest.* telemetry counters).
-void finishDataset(std::vector<KeptBinary> Candidates,
+void finishDataset(std::vector<KeptParsed> KeptMods,
                    const DatasetOptions &Options, Dataset &Out) {
   ThreadPool &Pool = ThreadPool::global();
 
@@ -93,43 +102,48 @@ void finishDataset(std::vector<KeptBinary> Candidates,
   };
 
   // Validation rides in the same parallel loop: the analysis, path and
-  // extraction stages below assume well-typed bodies. Rejections land in
-  // per-binary slots and replay in order below.
+  // extraction stages below assume well-typed bodies.
   BeginStage("ingest.debug_extract");
-  std::vector<std::optional<QuarantineEntry>> Rejected(Candidates.size());
-  Pool.parallelFor(0, Candidates.size(), 1, [&](size_t Begin, size_t End) {
+  std::vector<std::optional<dwarf::DebugInfo>> Debugs(KeptMods.size());
+  std::vector<std::optional<Error>> DebugErrors(KeptMods.size());
+  std::vector<std::optional<Error>> ValidateErrors(KeptMods.size());
+  Pool.parallelFor(0, KeptMods.size(), 1, [&](size_t Begin, size_t End) {
     for (size_t K = Begin; K < End; ++K) {
-      KeptBinary &Binary = Candidates[K];
-      Result<dwarf::DebugInfo> Debug = dwarf::extractDebugInfo(Binary.Mod);
-      Result<void> Valid =
-          Debug.isOk() ? wasm::validateModule(Binary.Mod) : Result<void>();
-      if (Debug.isOk() && Valid.isOk()) {
-        Binary.Debug = Debug.take();
+      const std::string &Context = KeptMods[K].Name;
+      Result<dwarf::DebugInfo> Debug =
+          dwarf::extractDebugInfo(KeptMods[K].Mod);
+      if (Debug.isErr()) {
+        DebugErrors[K].emplace(Debug.error().withContext(Context));
         continue;
       }
-      Error Failure =
-          (Debug.isOk() ? Valid.error() : Debug.error())
-              .withContext("package " + std::to_string(Binary.PackageId) +
-                           "/obj" + std::to_string(Binary.ObjectIndex));
-      Rejected[K] = QuarantineEntry{Binary.PackageId, Binary.ObjectIndex,
-                                    Debug.isOk() ? "validate" : "debug-info",
-                                    Failure.code(), Failure.message()};
+      if (Result<void> Valid = wasm::validateModule(KeptMods[K].Mod);
+          Valid.isErr()) {
+        ValidateErrors[K].emplace(Valid.error().withContext(Context));
+        continue;
+      }
+      Debugs[K].emplace(Debug.take());
     }
   });
 
   std::vector<KeptBinary> Kept;
-  for (size_t K = 0; K < Candidates.size(); ++K) {
-    if (Rejected[K]) {
-      ++(Rejected[K]->Stage == "validate" ? Out.Quarantine.ValidateFailures
-                                          : Out.Quarantine.DebugFailures);
-      Out.Quarantine.Entries.push_back(std::move(*Rejected[K]));
+  for (size_t K = 0; K < KeptMods.size(); ++K) {
+    if (!Debugs[K]) {
+      bool Invalid = ValidateErrors[K].has_value();
+      const Error &Failure = Invalid ? *ValidateErrors[K] : *DebugErrors[K];
+      ++(Invalid ? Out.Quarantine.ValidateFailures
+                 : Out.Quarantine.DebugFailures);
+      Out.Quarantine.Entries.push_back(
+          {KeptMods[K].PackageId, KeptMods[K].ObjectIndex,
+           Invalid ? "validate" : "debug-info", Failure.code(),
+           Failure.message()});
       continue;
     }
     ++Out.Dedup.ObjectsAfter;
-    Out.Dedup.FunctionsAfter += Candidates[K].Mod.Functions.size();
-    Out.Dedup.InstructionsAfter += Candidates[K].Mod.countInstructions();
-    Out.Dedup.BytesAfter += Candidates[K].ByteSize;
-    Kept.push_back(std::move(Candidates[K]));
+    Out.Dedup.FunctionsAfter += KeptMods[K].Mod.Functions.size();
+    Out.Dedup.InstructionsAfter += KeptMods[K].Mod.countInstructions();
+    Out.Dedup.BytesAfter += KeptMods[K].ByteSize;
+    Kept.push_back(KeptBinary{std::move(KeptMods[K].Mod),
+                              std::move(*Debugs[K]), KeptMods[K].PackageId});
   }
 
   // --- Stage 1b: dataflow analysis over kept binaries ---------------------
@@ -437,27 +451,35 @@ std::unique_ptr<io::ByteSource> openSource(const IngestFile &File,
 Result<bool> fileContentsEqual(const IngestFile &FileA, const IngestFile &FileB,
                                size_t WindowBytes,
                                fault::FaultInjector *Faults) {
-  std::unique_ptr<io::ByteSource> Sources[2] = {
-      openSource(FileA, WindowBytes, Faults),
-      openSource(FileB, WindowBytes, Faults)};
-  uint8_t Chunks[2][4096];
+  std::unique_ptr<io::ByteSource> A = openSource(FileA, WindowBytes, Faults);
+  std::unique_ptr<io::ByteSource> B = openSource(FileB, WindowBytes, Faults);
+  auto FillChunk = [](io::ByteSource &Source, uint8_t *Buf,
+                      size_t N) -> Result<size_t> {
+    size_t Got = 0;
+    while (Got < N) {
+      Result<size_t> R = Source.readSome(Buf + Got, N - Got);
+      if (R.isErr())
+        return R;
+      if (*R == 0)
+        break;
+      Got += *R;
+    }
+    return Got;
+  };
+  uint8_t BufA[4096], BufB[4096];
   for (;;) {
-    size_t Got[2] = {0, 0};
-    for (size_t S = 0; S < 2; ++S)
-      while (Got[S] < sizeof(Chunks[S])) {
-        Result<size_t> R = Sources[S]->readSome(Chunks[S] + Got[S],
-                                                sizeof(Chunks[S]) - Got[S]);
-        if (R.isErr())
-          return R.error();
-        if (*R == 0)
-          break;
-        Got[S] += *R;
-      }
-    if (Got[0] != Got[1] ||
-        !std::equal(Chunks[0], Chunks[0] + Got[0], Chunks[1]))
+    Result<size_t> GotA = FillChunk(*A, BufA, sizeof(BufA));
+    if (GotA.isErr())
+      return GotA.error();
+    Result<size_t> GotB = FillChunk(*B, BufB, sizeof(BufB));
+    if (GotB.isErr())
+      return GotB.error();
+    if (*GotA != *GotB)
       return false;
-    if (Got[0] == 0)
+    if (*GotA == 0)
       return true;
+    if (!std::equal(BufA, BufA + *GotA, BufB))
+      return false;
   }
 }
 
@@ -502,8 +524,8 @@ Result<StreamIngestResult> ingest(const std::vector<IngestFile> &Files,
   Data.NumPackages = NumPackages;
 
   telemetry::ScopedPhase IngestPhase("ingest.total");
-  std::optional<telemetry::ScopedPhase> Stage(std::in_place,
-                                              "ingest.stream_parse");
+  std::unique_ptr<telemetry::ScopedPhase> Stage =
+      std::make_unique<telemetry::ScopedPhase>("ingest.stream_parse");
   fault::FaultInjector *Faults =
       Options.Faults ? Options.Faults : fault::globalInjector();
   bool Journaling = !Options.JournalPath.empty();
@@ -569,10 +591,11 @@ Result<StreamIngestResult> ingest(const std::vector<IngestFile> &Files,
     Bucket.push_back(FileIndex);
   };
 
-  std::vector<KeptBinary> KeptMods;
+  std::vector<KeptParsed> KeptMods;
   auto Keep = [&](size_t FileIndex, ParsedFile &Parsed) {
-    KeptMods.push_back({Parsed.Mod.take(), {}, Files[FileIndex].PackageId,
-                        Files[FileIndex].ObjectIndex, Parsed.Bytes});
+    const IngestFile &File = Files[FileIndex];
+    KeptMods.push_back({Parsed.Mod.take(), File.RelPath, File.PackageId,
+                        File.ObjectIndex, Parsed.Bytes});
   };
 
   auto Publish = [&]() -> Result<void> {
@@ -598,10 +621,12 @@ Result<StreamIngestResult> ingest(const std::vector<IngestFile> &Files,
     case journal::FileOutcome::Kept:
       break; // After-side stats accrue in the debug-extract stage.
     case journal::FileOutcome::QuarantinedParse:
+      ++Data.Quarantine.ParseFailures;
+      Data.Quarantine.Entries.push_back({File.PackageId, File.ObjectIndex,
+                                         Rec.Stage, Rec.Code, Rec.Message});
+      break;
     case journal::FileOutcome::QuarantinedWatchdog:
-      ++(Rec.Outcome == journal::FileOutcome::QuarantinedParse
-             ? Data.Quarantine.ParseFailures
-             : Data.Quarantine.WatchdogFailures);
+      ++Data.Quarantine.WatchdogFailures;
       Data.Quarantine.Entries.push_back({File.PackageId, File.ObjectIndex,
                                          Rec.Stage, Rec.Code, Rec.Message});
       break;
@@ -622,13 +647,16 @@ Result<StreamIngestResult> ingest(const std::vector<IngestFile> &Files,
     if (Parsed.Mod.isErr())
       return Parsed.Mod.error().withContext(
           "resume: journaled-kept file '" + RelPath + "' no longer parses");
-    if (Parsed.ExactHash != Rec.ExactHash ||
-        Parsed.ApproxHash != Rec.ApproxHash)
+    if (Parsed.ExactHash != Rec.ExactHash)
       return Error(ErrorCode::ChecksumMismatch,
                    "resume: file '" + RelPath +
                        "' changed since it was journaled");
     if (Options.Dataset.Deduplicate) {
       InsertExact(FileIndex, Rec.ExactHash);
+      if (Parsed.ApproxHash != Rec.ApproxHash)
+        return Error(ErrorCode::ChecksumMismatch,
+                     "resume: file '" + RelPath +
+                         "' abstraction changed since it was journaled");
       SeenApprox.insert(Rec.ApproxHash, std::move(Parsed.Abstraction));
     }
     Keep(FileIndex, Parsed);
@@ -686,27 +714,30 @@ Result<StreamIngestResult> ingest(const std::vector<IngestFile> &Files,
     return {};
   };
 
-  // Files parse in windows as wide as the pool; only fresh and journaled-Kept
-  // files need a module. I/O and stall faults each draw from one shared
-  // random stream, so under those the window is one file and the draws keep
-  // the order of the decisions.
+  // The parse stage: fresh files and journaled-Kept files need a module
+  // (replayed duplicates and quarantines do not). Parsing is a pure function
+  // of a file's bytes, so it fans out over the pool, load-balanced over the
+  // whole list, and the decisions below replay in file order: the outcome is
+  // thread-count independent. I/O and stall faults draw from the injector's
+  // one random stream, as does the dedup confirm's re-read, so under those
+  // each file parses just before its decision, keeping the draw order.
   bool DrawsPerRead = Faults && (Faults->config().IoFailureRate > 0.0 ||
                                  Faults->config().StallRate > 0.0);
-  size_t Width = DrawsPerRead ? 1 : ThreadPool::global().numThreads();
-  std::vector<ParsedFile> Window;
+  std::vector<ParsedFile> Parses(Files.size());
+  auto ParseAt = [&](size_t I) {
+    bool Fresh = I >= ReplayCount;
+    if (Fresh || J.Records[I].Outcome == journal::FileOutcome::Kept)
+      Parses[I] = parseFile(Files[I], Options, Faults, Fresh);
+  };
+  if (!DrawsPerRead)
+    ThreadPool::global().parallelTasks(Files.size(), ParseAt);
 
   // --- The per-file decision loop (strictly sequential in Files order) ----
   for (size_t I = 0; I < Files.size(); ++I) {
-    if (I % Width == 0) {
-      Window.clear();
-      Window.resize(std::min(Width, Files.size() - I));
-      ThreadPool::global().parallelTasks(Window.size(), [&](size_t K) {
-        bool Fresh = I + K >= ReplayCount;
-        if (Fresh || J.Records[I + K].Outcome == journal::FileOutcome::Kept)
-          Window[K] = parseFile(Files[I + K], Options, Faults, Fresh);
-      });
-    }
-    ParsedFile &Parsed = Window[I % Width];
+    if (DrawsPerRead)
+      ParseAt(I);
+    // Dropped once decided: a duplicate's module is not held to the end.
+    ParsedFile Parsed = std::move(Parses[I]);
     if (I < ReplayCount) {
       const journal::FileRecord &Rec = J.Records[I];
       if (Rec.Outcome == journal::FileOutcome::Kept) {

@@ -197,12 +197,13 @@ struct StreamIngestResult {
 /// Streaming, crash-safe ingest: each file is decoded section-wise through a
 /// bounded window (never fully materialized), deduped collision-safely,
 /// journaled, and — after the whole corpus is decided — fed through the
-/// downstream stages. The package count is Files.size(). Files parse in
-/// windows as wide as the pool (one file under injected I/O or stall
-/// faults); decisions replay strictly in Files order, so a resumed run is
-/// bit-identical to an uninterrupted one and results are thread-count
-/// invariant. Fatal errors (journal/corpus divergence) abort; per-file
-/// damage only ever quarantines.
+/// downstream stages. The package count is Files.size(). All files parse in
+/// parallel before the first decision (under injected I/O or stall faults,
+/// each file parses just before its own), and each parsed module is held
+/// until its file is decided. Decisions replay strictly in Files order, so a
+/// resumed run is bit-identical to an uninterrupted one and results are
+/// thread-count invariant. Fatal errors (journal/corpus divergence) abort;
+/// per-file damage only ever quarantines.
 Result<StreamIngestResult> streamIngest(const std::vector<IngestFile> &Files,
                                         const StreamIngestOptions &Options);
 

@@ -43,6 +43,13 @@ private:
   std::filesystem::path Root;
 };
 
+/// A path in this process's own scratch directory, which lives until the
+/// process exits.
+inline std::string scratchPath(const std::string &Name) {
+  static ScratchDir Scratch("snowwhite_scratch");
+  return Scratch.path(Name);
+}
+
 } // namespace snowwhite
 
 #endif // SNOWWHITE_SUPPORT_SCRATCH_DIR_H

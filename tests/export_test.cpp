@@ -16,11 +16,9 @@
 namespace snowwhite {
 namespace {
 
-/// A fresh directory in this process's scratch directory, so two runs of
-/// this suite at once never share a file.
+/// A fresh directory in this process's scratch directory.
 std::string scratchDir(const std::string &Name) {
-  static ScratchDir Scratch("export_test");
-  std::string Dir = Scratch.path(Name);
+  std::string Dir = scratchPath(Name);
   std::filesystem::create_directories(Dir);
   return Dir;
 }

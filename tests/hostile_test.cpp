@@ -29,13 +29,6 @@
 namespace snowwhite {
 namespace {
 
-/// A path in this process's scratch directory, so two runs of this suite at
-/// once never share a file.
-std::string scratchPath(const std::string &Name) {
-  static ScratchDir Scratch("hostile_test");
-  return Scratch.path(Name);
-}
-
 // --- Helpers ---------------------------------------------------------------
 
 std::vector<uint8_t> moduleHeader() {

@@ -32,13 +32,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// A path in this process's scratch directory, so two runs of this suite at
-/// once never share a file.
-std::string scratchPath(const std::string &Name) {
-  static ScratchDir Scratch("ingest_crash_test");
-  return Scratch.path(Name);
-}
-
 /// Builds a synthetic corpus and lays its object files out as a *nested*
 /// directory tree (one subdirectory per package, with every third package
 /// nested one level deeper) — the shape a real multi-project corpus has.

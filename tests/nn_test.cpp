@@ -49,13 +49,6 @@ namespace snowwhite {
 namespace nn {
 namespace {
 
-/// A path in this process's scratch directory, so two runs of this suite at
-/// once never share a file.
-std::string scratchPath(const std::string &Name) {
-  static ScratchDir Scratch("nn_test");
-  return Scratch.path(Name);
-}
-
 // --- Numerical gradient checking ---------------------------------------------
 //
 // For a scalar loss L(P) built by Builder from a parameter P, compare the

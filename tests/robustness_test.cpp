@@ -69,13 +69,6 @@ TrainOptions tinyTrainOptions() {
   return Options;
 }
 
-/// A path in this process's scratch directory, so two runs of this suite at
-/// once never share a file.
-std::string scratchPath(const std::string &Name) {
-  static ScratchDir Scratch("robustness_test");
-  return Scratch.path(Name);
-}
-
 /// One trained model shared by the serving tests (training is the slow part).
 struct ServingFixture {
   TrainResult Trained;

@@ -57,13 +57,6 @@ namespace {
 
 using dataset::Dataset;
 
-/// A path in this process's scratch directory, so two runs of this suite at
-/// once never share a file.
-std::string scratchPath(const std::string &Name) {
-  static ScratchDir Scratch("serving_crash_test");
-  return Scratch.path(Name);
-}
-
 const Dataset &sharedDataset() {
   static Dataset Data = [] {
     frontend::CorpusSpec Spec;

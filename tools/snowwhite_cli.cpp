@@ -32,8 +32,9 @@
 //       on a cadence (--journal-every N) so a killed run resumes with
 //       --resume bit-identically to an uninterrupted one. --export-dir D
 //       writes the plaintext dataset; --report-out F the quarantine report
-//       (atomically). With --strict the first corrupt module aborts the run
-//       with its structured error (buffered, no journal).
+//       (atomically). --strict runs the same ingest without a journal and
+//       exits 1 with the structured error of the first quarantined file (by
+//       discovery order).
 //
 //   snowwhite train [--epochs N] [--checkpoint PATH] [--resume] ...
 //       Train a small model on a synthetic corpus, optionally checkpointing
@@ -389,51 +390,70 @@ static int commandIngest(int argc, char **argv) {
   bool Strict = false;
   std::string MetricsOut, TraceOut, ReportOut, ExportDir;
   dataset::StreamIngestOptions Options;
-  uint64_t CrashAtFile = 0, WindowBytes = Options.WindowBytes;
-  const std::pair<const char *, bool *> Switches[] = {
-      {"--strict", &Strict}, {"--resume", &Options.Resume}};
-  const std::pair<const char *, std::string *> Strings[] = {
-      {"--journal", &Options.JournalPath}, {"--export-dir", &ExportDir},
-      {"--report-out", &ReportOut},        {"--metrics-out", &MetricsOut},
-      {"--trace-out", &TraceOut}};
-  const std::pair<const char *, uint64_t *> Numbers[] = {
-      {"--journal-every", &Options.JournalEvery},
-      {"--file-budget-ms", &Options.FileBudgetMillis},
-      {"--max-section-bytes", &Options.MaxSectionBytes},
-      {"--max-module-bytes", &Options.MaxModuleBytes},
-      {"--window-bytes", &WindowBytes},
-      {"--crash-at-file", &CrashAtFile}};
+  uint64_t CrashAtFile = 0;
   for (int I = 1; I < argc; ++I) {
-    auto Named = [Arg = argv[I]](const auto &Entry) {
-      return std::strcmp(Arg, Entry.first) == 0;
+    auto Value = [&](const char *Flag) -> const char * {
+      if (I + 1 >= argc) {
+        std::fprintf(stderr, "%s requires a value\nusage: %s\n", Flag, Usage);
+        return nullptr;
+      }
+      return argv[++I];
     };
-    const auto *Switch = std::find_if(std::begin(Switches),
-                                      std::end(Switches), Named);
-    const auto *String =
-        std::find_if(std::begin(Strings), std::end(Strings), Named);
-    const auto *Number =
-        std::find_if(std::begin(Numbers), std::end(Numbers), Named);
-    if (Switch != std::end(Switches)) {
-      *Switch->second = true;
-      continue;
-    }
-    if (String == std::end(Strings) && Number == std::end(Numbers)) {
+    const char *V = nullptr;
+    if (std::strcmp(argv[I], "--strict") == 0) {
+      Strict = true;
+    } else if (std::strcmp(argv[I], "--journal") == 0) {
+      if (!(V = Value("--journal")))
+        return 2;
+      Options.JournalPath = V;
+    } else if (std::strcmp(argv[I], "--resume") == 0) {
+      Options.Resume = true;
+    } else if (std::strcmp(argv[I], "--journal-every") == 0) {
+      if (!(V = Value("--journal-every")))
+        return 2;
+      Options.JournalEvery = static_cast<uint64_t>(std::atoll(V));
+    } else if (std::strcmp(argv[I], "--file-budget-ms") == 0) {
+      if (!(V = Value("--file-budget-ms")))
+        return 2;
+      Options.FileBudgetMillis = static_cast<uint64_t>(std::atoll(V));
+    } else if (std::strcmp(argv[I], "--max-section-bytes") == 0) {
+      if (!(V = Value("--max-section-bytes")))
+        return 2;
+      Options.MaxSectionBytes = static_cast<uint64_t>(std::atoll(V));
+    } else if (std::strcmp(argv[I], "--max-module-bytes") == 0) {
+      if (!(V = Value("--max-module-bytes")))
+        return 2;
+      Options.MaxModuleBytes = static_cast<uint64_t>(std::atoll(V));
+    } else if (std::strcmp(argv[I], "--window-bytes") == 0) {
+      if (!(V = Value("--window-bytes")))
+        return 2;
+      Options.WindowBytes = static_cast<size_t>(std::atoll(V));
+    } else if (std::strcmp(argv[I], "--crash-at-file") == 0) {
+      if (!(V = Value("--crash-at-file")))
+        return 2;
+      CrashAtFile = static_cast<uint64_t>(std::atoll(V));
+    } else if (std::strcmp(argv[I], "--export-dir") == 0) {
+      if (!(V = Value("--export-dir")))
+        return 2;
+      ExportDir = V;
+    } else if (std::strcmp(argv[I], "--report-out") == 0) {
+      if (!(V = Value("--report-out")))
+        return 2;
+      ReportOut = V;
+    } else if (std::strcmp(argv[I], "--metrics-out") == 0) {
+      if (!(V = Value("--metrics-out")))
+        return 2;
+      MetricsOut = V;
+    } else if (std::strcmp(argv[I], "--trace-out") == 0) {
+      if (!(V = Value("--trace-out")))
+        return 2;
+      TraceOut = V;
+    } else {
       std::fprintf(stderr, "unknown ingest option '%s'\nusage: %s\n", argv[I],
                    Usage);
       return 2;
     }
-    if (I + 1 >= argc) {
-      std::fprintf(stderr, "%s requires a value\nusage: %s\n", argv[I],
-                   Usage);
-      return 2;
-    }
-    const char *V = argv[++I];
-    if (String != std::end(Strings))
-      *String->second = V;
-    else
-      *Number->second = static_cast<uint64_t>(std::atoll(V));
   }
-  Options.WindowBytes = static_cast<size_t>(WindowBytes);
 
   // Nested trees are the norm for real corpora (one subdirectory per
   // project); discovery recurses and sorts by relative path, so ingest
