@@ -718,23 +718,26 @@ Result<StreamIngestResult> ingest(const std::vector<IngestFile> &Files,
   // (replayed duplicates and quarantines do not). Parsing is a pure function
   // of a file's bytes, so it fans out over the pool, load-balanced over the
   // whole list, and the decisions below replay in file order: the outcome is
-  // thread-count independent. I/O and stall faults draw from the injector's
-  // one random stream, as does the dedup confirm's re-read, so under those
-  // each file parses just before its decision, keeping the draw order.
-  bool DrawsPerRead = Faults && (Faults->config().IoFailureRate > 0.0 ||
-                                 Faults->config().StallRate > 0.0);
+  // thread-count independent. I/O and stall faults each draw from one random
+  // stream of the injector (the dedup confirm's re-read draws I/O faults
+  // too), so under those each file parses just before its decision, keeping
+  // the draw order. So it does on a one-thread pool, where parsing ahead
+  // would only hold every module longer.
+  bool ParseAhead = ThreadPool::global().numThreads() > 1 &&
+                    !(Faults && (Faults->config().IoFailureRate > 0.0 ||
+                                 Faults->config().StallRate > 0.0));
   std::vector<ParsedFile> Parses(Files.size());
   auto ParseAt = [&](size_t I) {
     bool Fresh = I >= ReplayCount;
     if (Fresh || J.Records[I].Outcome == journal::FileOutcome::Kept)
       Parses[I] = parseFile(Files[I], Options, Faults, Fresh);
   };
-  if (!DrawsPerRead)
+  if (ParseAhead)
     ThreadPool::global().parallelTasks(Files.size(), ParseAt);
 
   // --- The per-file decision loop (strictly sequential in Files order) ----
   for (size_t I = 0; I < Files.size(); ++I) {
-    if (DrawsPerRead)
+    if (!ParseAhead)
       ParseAt(I);
     // Dropped once decided: a duplicate's module is not held to the end.
     ParsedFile Parsed = std::move(Parses[I]);

@@ -197,13 +197,14 @@ struct StreamIngestResult {
 /// Streaming, crash-safe ingest: each file is decoded section-wise through a
 /// bounded window (never fully materialized), deduped collision-safely,
 /// journaled, and — after the whole corpus is decided — fed through the
-/// downstream stages. The package count is Files.size(). All files parse in
-/// parallel before the first decision (under injected I/O or stall faults,
-/// each file parses just before its own), and each parsed module is held
-/// until its file is decided. Decisions replay strictly in Files order, so a
-/// resumed run is bit-identical to an uninterrupted one and results are
-/// thread-count invariant. Fatal errors (journal/corpus divergence) abort;
-/// per-file damage only ever quarantines.
+/// downstream stages. The package count is Files.size(). On a pool of more
+/// than one thread all files parse in parallel before the first decision,
+/// and each parsed module is held until its file is decided; on one thread,
+/// or under injected I/O or stall faults, each file parses just before its
+/// decision. Decisions replay strictly in Files order, so a resumed run is
+/// bit-identical to an uninterrupted one and results are thread-count
+/// invariant. Fatal errors (journal/corpus divergence) abort; per-file
+/// damage only ever quarantines.
 Result<StreamIngestResult> streamIngest(const std::vector<IngestFile> &Files,
                                         const StreamIngestOptions &Options);
 
