@@ -14,7 +14,9 @@
 #include "dwarf/io.h"
 #include "nn/graph.h"
 #include "nn/kernels.h"
+#include "model/serve_daemon.h"
 #include "model/serving.h"
+#include "support/hash.h"
 #include "support/io.h"
 #include "support/telemetry.h"
 #include "support/thread_pool.h"
@@ -24,6 +26,11 @@
 #include "wasm/writer.h"
 
 #include <benchmark/benchmark.h>
+
+#include <iterator>
+#include <string_view>
+
+#include <sys/resource.h>
 
 using namespace snowwhite;
 
@@ -41,6 +48,13 @@ const frontend::CompiledObject &sampleObject() {
     return frontend::compileObject(Functions, "bench.o", R, {});
   }();
   return Object;
+}
+
+/// This process's minor page faults so far.
+long minorFaults() {
+  rusage Usage;
+  getrusage(RUSAGE_SELF, &Usage);
+  return Usage.ru_minflt;
 }
 
 struct TrainedSetup {
@@ -182,6 +196,7 @@ void BM_PredictionLatency(benchmark::State &State) {
     return;
   }
   size_t Index = 0;
+  long FaultsBefore = minorFaults();
   for (auto _ : State) {
     const model::EncodedSample &Sample = Test[Index % Test.size()];
     std::vector<nn::Hypothesis> Top =
@@ -190,6 +205,11 @@ void BM_PredictionLatency(benchmark::State &State) {
     ++Index;
   }
   State.SetItemsProcessed(State.iterations());
+  // Page faults the decode takes per request: its graph's blocks are
+  // reused from the thread's inference arena, so this stays near 0
+  // whether or not the allocator maps large blocks afresh each time.
+  State.counters["minor_faults_per_req"] = benchmark::Counter(
+      double(minorFaults() - FaultsBefore), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_PredictionLatency)->Arg(1)->Arg(5)->Unit(benchmark::kMillisecond);
 
@@ -401,6 +421,59 @@ void BM_StatisticalBaseline(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_StatisticalBaseline);
+
+// --- Prediction-cache key (the layers of a serve-repeat hit) ---------------
+
+/// A 156-token request whose cache key is ~1,080 bytes, the average
+/// serve-repeat key.
+const model::ServeRequest &cacheKeyRequest() {
+  static model::ServeRequest Request = [] {
+    const char *const Vocab[] = {
+        "local.get", "<param>", "i32.const", "8",   "i32.add", "i32.load",
+        "call",      "<func>",  "br_if",     "i32.store", "end", "if"};
+    model::ServeRequest Out;
+    for (size_t I = 0; I < 156; ++I)
+      Out.InputTokens.push_back(Vocab[(I * 7) % std::size(Vocab)]);
+    return Out;
+  }();
+  return Request;
+}
+
+void BM_CacheKeyRequestKey(benchmark::State &State) {
+  const model::ServeRequest &Request = cacheKeyRequest();
+  for (auto _ : State) {
+    std::string Key = model::PredictionCache::requestKey(Request, 128, 5, 5);
+    benchmark::DoNotOptimize(Key.data());
+  }
+  State.SetBytesProcessed(
+      int64_t(State.iterations()) *
+      int64_t(model::PredictionCache::requestKey(Request, 128, 5, 5).size()));
+}
+BENCHMARK(BM_CacheKeyRequestKey);
+
+/// Bucket hash of one key: keyHash (the cache's, word at a time) against
+/// hashString (FNV-1a, byte-serial; the persisted digests' hash).
+void benchCacheKeyHash(benchmark::State &State,
+                       uint64_t (*Hash)(std::string_view)) {
+  std::string Key =
+      model::PredictionCache::requestKey(cacheKeyRequest(), 128, 5, 5);
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(Key.data());
+    uint64_t H = Hash(Key);
+    benchmark::DoNotOptimize(H);
+  }
+  State.SetBytesProcessed(int64_t(State.iterations()) * int64_t(Key.size()));
+}
+
+void BM_CacheKeyHash(benchmark::State &State) {
+  benchCacheKeyHash(State, &model::PredictionCache::keyHash);
+}
+BENCHMARK(BM_CacheKeyHash);
+
+void BM_CacheKeyHashStringFnv(benchmark::State &State) {
+  benchCacheKeyHash(State, &hashString);
+}
+BENCHMARK(BM_CacheKeyHashStringFnv);
 
 } // namespace
 

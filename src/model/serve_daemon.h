@@ -8,10 +8,10 @@
 // answers repeats from cache turns the dominant case into a hash lookup.
 //
 // Cache correctness: entries are bucketed by the 64-bit hash of the full
-// request key (abstracted token sequence + every answer-affecting knob), but
-// a hash match alone NEVER produces a hit — membership is decided by
-// byte-wise comparison of the stored key, so a 64-bit collision can never
-// replay another request's answer. Hits are bit-identical copies of the
+// request key (abstracted token sequence + every answer-affecting knob;
+// PredictionCache::keyHash), but a hash match alone NEVER produces a hit —
+// membership is decided by byte-wise comparison of the stored key, so a
+// 64-bit collision can never replay another request's answer. Hits are bit-identical copies of the
 // originally computed predictions and carry the `cached` provenance tier.
 //
 // Crash safety: the cache serializes to a versioned snapshot of per-shard
@@ -115,6 +115,14 @@ public:
   /// answer is part of the identity.
   static std::string requestKey(const ServeRequest &Request, uint64_t Budget,
                                 unsigned K, unsigned Width);
+
+  /// The bucket hash of a request key, for find() and insert(). It takes
+  /// the key 8 bytes per multiply-xorshift step, read little-endian so
+  /// values match on every platform, mixes in the length and ends with a
+  /// 64-bit finalizer, so Hash % NumShards spreads evenly. It lives only in
+  /// memory: a snapshot stores keys and re-hashes them on load, and every
+  /// persisted digest stays FNV-1a (support/hash.h).
+  static uint64_t keyHash(std::string_view Key);
 
   /// Looks up (Hash, Key); a hit requires the stored key to compare equal
   /// byte-wise. Returns a copy (safe under concurrent eviction) and marks

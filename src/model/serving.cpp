@@ -23,6 +23,26 @@ const char *tierName(PredictionTier Tier) {
   return "?";
 }
 
+namespace {
+
+/// A hit's Detail, "cache: hit (computed by <tierName>)": one literal per
+/// tier, so the hit path builds no string.
+const char *cacheHitDetail(PredictionTier ComputedBy) {
+  switch (ComputedBy) {
+  case PredictionTier::Beam:
+    return "cache: hit (computed by beam)";
+  case PredictionTier::Greedy:
+    return "cache: hit (computed by greedy)";
+  case PredictionTier::Baseline:
+    return "cache: hit (computed by baseline)";
+  case PredictionTier::Cached:
+    return "cache: hit (computed by cached)";
+  }
+  return "cache: hit (computed by ?)";
+}
+
+} // namespace
+
 const char *outcomeCode(ServeOutcome Outcome) {
   switch (Outcome) {
   case ServeOutcome::OkBeam:
@@ -152,15 +172,13 @@ ServeResponse ServingEngine::serveLadder(const ServeRequest &Request) {
   uint64_t CacheHash = 0;
   if (Options.Cache) {
     CacheKey = PredictionCache::requestKey(Request, Budget, K, K);
-    CacheHash = hashString(CacheKey);
+    CacheHash = PredictionCache::keyHash(CacheKey);
     if (std::optional<CachedPrediction> Hit =
             Options.Cache->find(CacheHash, CacheKey)) {
       Response.Tier = PredictionTier::Cached;
       Response.Outcome = ServeOutcome::OkCached;
       Response.Predictions = std::move(Hit->Predictions);
-      Response.Detail =
-          std::string("cache: hit (computed by ") + tierName(Hit->ComputedBy) +
-          ")";
+      Response.Detail = cacheHitDetail(Hit->ComputedBy);
       ++Stats.Answered;
       ++Stats.CachedAnswers;
       AnsweredCount.add();

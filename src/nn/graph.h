@@ -138,8 +138,11 @@ public:
   /// Sink, when given, receives all parameter gradients in place of
   /// Parameter::Grad (data-parallel shards; see GradientSink). It must
   /// outlive the graph.
-  explicit Graph(bool Training, GradientSink *Sink = nullptr)
-      : Training(Training), Sink(Sink) {}
+  explicit Graph(bool Training, GradientSink *Sink = nullptr);
+  ~Graph();
+
+  Graph(const Graph &) = delete;
+  Graph &operator=(const Graph &) = delete;
 
   bool isTraining() const { return Training; }
 
@@ -197,7 +200,7 @@ public:
 
   /// The arena backing node/value storage (introspection for tests and
   /// telemetry; see support/arena.h for the reuse semantics).
-  const Arena &nodeArena() const { return NodeArena; }
+  const Arena &nodeArena() const { return *NodeArena; }
 
 private:
   VarData *newNode(size_t Rows, size_t Cols, bool NeedGrad);
@@ -212,9 +215,17 @@ private:
   GradientSink *Sink = nullptr;
   /// Nodes, their value/grad buffers, and per-op backward scratch (softmax
   /// probabilities, layernorm row stats, dropout masks) all bump-allocate
-  /// here; everything dies together when the graph does. Declared before
-  /// Tape so closures referencing arena storage are destroyed first.
-  Arena NodeArena;
+  /// in *NodeArena; everything dies together when the graph does. An
+  /// inference graph borrows its thread's shared arena, which is reset
+  /// rather than freed, so request after request reuses the same warm
+  /// blocks instead of faulting in fresh ones. A training graph, or an
+  /// inference graph built while another one holds the thread's arena,
+  /// uses OwnArena. Declared before Tape so closures referencing arena
+  /// storage are destroyed first.
+  Arena OwnArena;
+  Arena *NodeArena = &OwnArena;
+  /// The borrowed arena's in-use flag; nullptr when NodeArena is OwnArena.
+  bool *BorrowedInUse = nullptr;
   size_t NodeCount = 0;
   std::vector<std::function<void()>> Tape;
 };

@@ -16,7 +16,8 @@ inline char *alignUp(char *P, size_t Align) {
 } // namespace
 
 Arena::Arena(size_t FirstBlockBytes, size_t BlockBytesCap)
-    : NextBlockBytes(FirstBlockBytes < 64 ? 64 : FirstBlockBytes),
+    : InitialBlockBytes(FirstBlockBytes < 64 ? 64 : FirstBlockBytes),
+      NextBlockBytes(InitialBlockBytes),
       MaxBlockBytes(BlockBytesCap < NextBlockBytes ? NextBlockBytes
                                                    : BlockBytesCap) {}
 
@@ -97,6 +98,7 @@ void Arena::releaseMemory() {
   BytesAllocated = 0;
   BytesReserved = 0;
   NumBlocks = 0;
+  NextBlockBytes = InitialBlockBytes;
 }
 
 } // namespace snowwhite

@@ -92,6 +92,7 @@ private:
   Block *Current = nullptr; ///< Block the cursor lives in.
   char *Cursor = nullptr;
   char *CurrentEnd = nullptr;
+  const size_t InitialBlockBytes; ///< Where the geometry restarts.
   size_t NextBlockBytes;
   const size_t MaxBlockBytes;
   size_t BytesAllocated = 0;

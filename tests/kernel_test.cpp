@@ -436,8 +436,16 @@ TEST(ArenaTest, ReleaseMemoryReturnsToEmpty) {
   A.releaseMemory();
   EXPECT_EQ(A.bytesReserved(), 0u);
   EXPECT_EQ(A.numBlocks(), 0u);
-  // Usable again after release.
+  // Usable again after release, and the block geometry starts over at the
+  // first block's size rather than where the doubling left off.
   EXPECT_NE(A.allocate(16), nullptr);
+  Arena Small(/*FirstBlockBytes=*/64, /*MaxBlockBytes=*/1024);
+  for (int I = 0; I < 8; ++I)
+    Small.allocate(60);
+  EXPECT_GT(Small.bytesReserved(), 64u * 4);
+  Small.releaseMemory();
+  Small.allocate(8);
+  EXPECT_EQ(Small.bytesReserved(), 64u);
 }
 
 TEST(ArenaTest, GraphNodesLiveInArena) {
@@ -449,6 +457,31 @@ TEST(ArenaTest, GraphNodesLiveInArena) {
   EXPECT_EQ(G.numNodes(), 3u);
   EXPECT_GT(G.nodeArena().bytesAllocated(), 0u);
   EXPECT_GT(G.nodeArena().bytesReserved(), 0u);
+}
+
+// Inference graphs on one thread take turns on one arena, reset between
+// them, so a request reuses the blocks the one before it warmed. A graph
+// built while another holds that arena, and every training graph, gets its
+// own.
+TEST(ArenaTest, InferenceGraphsShareTheThreadArena) {
+  std::vector<float> Data(6, 1.0f);
+  const Arena *Shared = nullptr;
+  size_t Reserved = 0;
+  {
+    nn::Graph First(/*Training=*/false);
+    (void)First.input(2, 3, Data.data());
+    Shared = &First.nodeArena();
+    Reserved = Shared->bytesReserved();
+    nn::Graph Nested(/*Training=*/false);
+    EXPECT_NE(&Nested.nodeArena(), Shared);
+    nn::Graph Training(/*Training=*/true);
+    EXPECT_NE(&Training.nodeArena(), Shared);
+  }
+  nn::Graph Second(/*Training=*/false);
+  EXPECT_EQ(&Second.nodeArena(), Shared);
+  EXPECT_EQ(Second.nodeArena().bytesAllocated(), 0u);
+  (void)Second.input(2, 3, Data.data());
+  EXPECT_EQ(Second.nodeArena().bytesReserved(), Reserved);
 }
 
 // --- Pool dispatch fast path -------------------------------------------------

@@ -222,7 +222,7 @@ TEST(CacheSnapshot, RoundTripIsBitIdentical) {
 
   for (const std::string &Key : Keys) {
     auto Before = Original.find(hashString(Key), Key);
-    auto After = Restored.find(hashString(Key), Key);
+    auto After = Restored.find(PredictionCache::keyHash(Key), Key);
     ASSERT_TRUE(Before.has_value());
     ASSERT_TRUE(After.has_value()) << Key;
     EXPECT_EQ(After->ComputedBy, Before->ComputedBy);
@@ -249,7 +249,8 @@ TEST(CacheSnapshot, LoadsAcrossShardCountChange) {
   EXPECT_EQ(Loaded.value().EntriesLoaded, Keys.size());
   EXPECT_TRUE(Narrow.checkStats());
   for (const std::string &Key : Keys)
-    EXPECT_TRUE(Narrow.find(hashString(Key), Key).has_value()) << Key;
+    EXPECT_TRUE(Narrow.find(PredictionCache::keyHash(Key), Key).has_value())
+        << Key;
 }
 
 // --- Corruption classes --------------------------------------------------------
@@ -433,7 +434,7 @@ TEST(CacheSnapshot, KilledSaveLeavesPreviousSnapshotIntact) {
   EXPECT_EQ(Loaded.value().EntriesLoaded, Keys.size());
   EXPECT_EQ(Loaded.value().SegmentsQuarantined, 0u);
   for (const std::string &Key : Keys)
-    EXPECT_TRUE(Restored.find(hashString(Key), Key).has_value());
+    EXPECT_TRUE(Restored.find(PredictionCache::keyHash(Key), Key).has_value());
 }
 
 // --- Retry backoff telemetry (satellite: fault.backoff_micros) -----------------

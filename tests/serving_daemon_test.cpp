@@ -24,12 +24,15 @@
 #include "model/task.h"
 #include "model/trainer.h"
 #include "support/hash.h"
+#include "support/scratch_dir.h"
 #include "support/telemetry.h"
 #include "support/thread_pool.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -385,6 +388,79 @@ TEST(PredictionCache, RequestSignatureIsTheKeyPrefix) {
   EXPECT_NE(ServeDaemon::requestSignature(Other), Sig);
 }
 
+/// A 156-token request of wasm-like tokens whose cache key is ~1 KB, the
+/// size of an average serve-repeat key.
+ServeRequest longRequest() {
+  const char *const Vocab[] = {"local.get", "<param>", "i32.const", "8",
+                               "i32.add",   "i32.load", "call",      "<func>",
+                               "br_if",     "i32.store", "end",      "if"};
+  ServeRequest Request;
+  for (size_t I = 0; I < 156; ++I)
+    Request.InputTokens.push_back(Vocab[(I * 7) % std::size(Vocab)]);
+  return Request;
+}
+
+// keyHash only buckets, but its values are part of the cache's behaviour
+// (which shard a key lands on), and they must not depend on the platform's
+// byte order: pinned for keys of length 0-17 (every tail length, up to two
+// full words plus one byte) and for a ~1 KB request key.
+TEST(PredictionCache, KeyHashGolden) {
+  const std::string Text = "snowwhite-cache-k";
+  const char *const Golden[] = {
+      "149aeec19b31d6cc", "4b7b483bcb201be8", "d8f43406f7efd901",
+      "54da1601144e2b8a", "98f1cb358fdd2337", "33f5b23637ac9a9b",
+      "ba8fe31c84e22ce0", "a67f8bb2d9129baa", "1b086944e50fb2d7",
+      "8ed0a33e044179ea", "a3c33f8fddea6600", "6dce3bfd9ebae40b",
+      "68c37ef98a7db375", "f8b27368ebaa8e28", "bb319666c3f7c87f",
+      "35fe400a25fba33e", "e88a749b7d35f294", "892004d91163fbd4"};
+  std::vector<std::string> Got;
+  for (size_t Len = 0; Len <= Text.size(); ++Len)
+    Got.push_back(hashToHex(PredictionCache::keyHash(Text.substr(0, Len))));
+  ASSERT_EQ(Got.size(), std::size(Golden));
+  for (size_t Len = 0; Len < Got.size(); ++Len)
+    EXPECT_EQ(Got[Len], Golden[Len]) << "length " << Len;
+
+  std::string Key = PredictionCache::requestKey(longRequest(), 128, 5, 5);
+  EXPECT_EQ(Key.size(), 1073u);
+  EXPECT_EQ(hashToHex(PredictionCache::keyHash(Key)), "083947dd5570d6ba");
+
+  // Keys that differ only in their last byte hash apart, at every tail
+  // length and at full size; so do a key and its zero-padded extension.
+  std::vector<std::string> Keys;
+  for (size_t Len = 1; Len <= Text.size(); ++Len)
+    Keys.push_back(Text.substr(0, Len));
+  Keys.push_back(Key);
+  for (const std::string &K : Keys) {
+    std::string Flipped = K;
+    Flipped.back() ^= 1;
+    EXPECT_NE(PredictionCache::keyHash(K), PredictionCache::keyHash(Flipped))
+        << K.size();
+    EXPECT_NE(PredictionCache::keyHash(K),
+              PredictionCache::keyHash(K + std::string(1, '\0')))
+        << K.size();
+  }
+}
+
+// Hash % NumShards picks the shard, so near-identical keys must spread
+// evenly over any shard count, not just a power of two.
+TEST(PredictionCache, KeyHashSpreadsOverShards) {
+  constexpr size_t NumKeys = 6000;
+  for (size_t NumShards : {3u, 4u, 7u}) {
+    std::vector<size_t> PerShard(NumShards);
+    ServeRequest Request = longRequest();
+    for (size_t I = 0; I < NumKeys; ++I) {
+      Request.InputTokens.back() = std::to_string(I);
+      std::string Key = PredictionCache::requestKey(Request, 128, 5, 5);
+      ++PerShard[PredictionCache::keyHash(Key) % NumShards];
+    }
+    double Expected = double(NumKeys) / double(NumShards);
+    for (size_t Count : PerShard) {
+      EXPECT_GT(double(Count), 0.9 * Expected) << NumShards << " shards";
+      EXPECT_LT(double(Count), 1.1 * Expected) << NumShards << " shards";
+    }
+  }
+}
+
 // --- Engine-level cache semantics --------------------------------------------
 
 TEST(ServingCache, HitIsBitIdenticalToColdCompute) {
@@ -417,6 +493,8 @@ TEST(ServingCache, HitIsBitIdenticalToColdCompute) {
     EXPECT_EQ(Warm.Tier, PredictionTier::Cached);
     EXPECT_EQ(Warm.Outcome, ServeOutcome::OkCached);
     EXPECT_EQ(Warm.DecodeStepsUsed, 0u);
+    EXPECT_EQ(Warm.Detail, std::string("cache: hit (computed by ") +
+                               tierName(Cold.Tier) + ")");
     EXPECT_TRUE(samePredictions(Warm.Predictions, Cold.Predictions));
     EXPECT_TRUE(Engine.checkStats());
   }
@@ -664,6 +742,65 @@ TEST(ServeDaemonTest, ShardStatsSumToTotalsAtAnyThreadCount) {
   // The dedup-heavy workload actually exercised the cache: rounds 2 and 3
   // answered entirely from it.
   EXPECT_GT(One.Engines.CachedAnswers, 0u);
+}
+
+// A snapshot saved by one daemon warms a restarted one: restore re-hashes
+// every stored key with keyHash, the hash the hit path looks up with, so
+// each restored entry answers as a hit — here into a cache with a different
+// shard count, so every entry is routed afresh.
+TEST(ServeDaemonTest, RestartedDaemonAnswersRestoredEntriesAsHits) {
+  DaemonFixture &F = fixture();
+  std::string Path = scratchPath("daemon_restart.snapshot");
+  std::remove(Path.c_str());
+  DaemonOptions Opts;
+  Opts.NumWorkers = 1;
+  Opts.Serving.TopK = 3;
+  Opts.Serving.DefaultStepBudget = 128;
+  Opts.Cache.NumShards = 4;
+  Opts.SnapshotPath = Path;
+
+  std::vector<std::vector<std::string>> Inputs = sampleInputs(12);
+  ASSERT_FALSE(Inputs.empty());
+  auto Serve = [&](ServeDaemon &Daemon, uint64_t FirstId) {
+    uint64_t Id = FirstId;
+    for (const std::vector<std::string> &Input : Inputs) {
+      DaemonRequest Request;
+      Request.Request.Id = Id++;
+      Request.Request.InputTokens = Input;
+      EXPECT_EQ(Daemon.submit(std::move(Request)).Outcome,
+                AdmitOutcome::Admitted);
+    }
+    return Daemon.pump();
+  };
+
+  std::vector<ServeResponse> Cold;
+  {
+    ServeDaemon Daemon(*F.Trained.Model, sharedTask(), Opts);
+    Cold = Serve(Daemon, 0);
+    Daemon.shutdown(); // Writes the snapshot.
+  }
+  ASSERT_EQ(Cold.size(), Inputs.size());
+  std::set<std::vector<std::string>> Distinct(Inputs.begin(), Inputs.end());
+
+  Opts.Cache.NumShards = 7;
+  ServeDaemon Restarted(*F.Trained.Model, sharedTask(), Opts);
+  Result<SnapshotLoadReport> Loaded = Restarted.loadSnapshotNow();
+  ASSERT_TRUE(Loaded.isOk());
+  EXPECT_EQ(Loaded.value().EntriesLoaded, Distinct.size());
+  std::vector<ServeResponse> Warm = Serve(Restarted, 1000);
+  ASSERT_EQ(Warm.size(), Cold.size());
+  for (size_t I = 0; I < Warm.size(); ++I) {
+    EXPECT_EQ(Warm[I].Outcome, ServeOutcome::OkCached) << I;
+    EXPECT_EQ(Warm[I].DecodeStepsUsed, 0u) << I;
+    EXPECT_TRUE(samePredictions(Warm[I].Predictions, Cold[I].Predictions))
+        << I;
+  }
+  CacheStats Totals = Restarted.cache()->totals();
+  EXPECT_EQ(Totals.Hits, Inputs.size());
+  EXPECT_EQ(Totals.Misses, 0u);
+  EXPECT_EQ(Restarted.engineTotals().DecodeSteps, 0u);
+  EXPECT_TRUE(Restarted.checkStats());
+  Restarted.shutdown();
 }
 
 } // namespace

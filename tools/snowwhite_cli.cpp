@@ -34,7 +34,8 @@
 //       writes the plaintext dataset; --report-out F the quarantine report
 //       (atomically). --strict runs the same ingest without a journal and
 //       exits 1 with the structured error of the first quarantined file (by
-//       discovery order).
+//       discovery order); combined with --journal, --resume or
+//       --crash-at-file it is a usage error (exit 2).
 //
 //   snowwhite train [--epochs N] [--checkpoint PATH] [--resume] ...
 //       Train a small model on a synthetic corpus, optionally checkpointing
@@ -455,6 +456,16 @@ static int commandIngest(int argc, char **argv) {
     }
   }
 
+  // --strict keeps no journal, so the journal flags cannot apply to it.
+  if (Strict && (!Options.JournalPath.empty() || Options.Resume ||
+                 CrashAtFile > 0)) {
+    std::fprintf(stderr,
+                 "--strict cannot be combined with --journal, --resume or "
+                 "--crash-at-file\nusage: %s\n",
+                 Usage);
+    return 2;
+  }
+
   // Nested trees are the norm for real corpora (one subdirectory per
   // project); discovery recurses and sorts by relative path, so ingest
   // order is independent of directory layout and enumeration order.
@@ -468,10 +479,6 @@ static int commandIngest(int argc, char **argv) {
   // One streaming, crash-safe path: bounded memory, journal, per-file
   // watchdog. --strict runs it without a journal and fails on the first
   // quarantined file instead of reporting it.
-  if (Strict) {
-    Options.JournalPath.clear();
-    CrashAtFile = 0;
-  }
   fault::FaultConfig CrashConfig;
   CrashConfig.CrashAtTick = CrashAtFile; // 0 = never fires.
   fault::FaultInjector CrashFaults(CrashConfig);
