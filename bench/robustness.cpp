@@ -209,7 +209,6 @@ int runServingTable(const bench::TinyFixture &Fixture,
     model::ServingOptions Opts;
     Opts.TopK = 3;
     Opts.DefaultStepBudget = 128;
-    Opts.QueueCapacity = 256;
     if (Rate > 0.0)
       Opts.Faults = &Injector;
     model::ServingEngine Engine(Model, *Fixture.BoundTask, Opts);
@@ -220,14 +219,12 @@ int runServingTable(const bench::TinyFixture &Fixture,
       model::ServeRequest Request;
       Request.Id = Requests++;
       Request.InputTokens = Fixture.Data.Samples[Index].Input;
-      Engine.submit(std::move(Request));
-    }
-    for (const model::ServeResponse &Response : Engine.drain())
-      if (Response.Predictions.empty()) {
+      if (Engine.processOne(Request).Predictions.empty()) {
         std::fprintf(stderr, "FAIL: request %llu got no prediction\n",
-                     static_cast<unsigned long long>(Response.Id));
+                     static_cast<unsigned long long>(Request.Id));
         return 1;
       }
+    }
     const model::ServingStats &Stats = Engine.stats();
     std::printf("| %17.0f%% | %8zu | %7.0f%% | %4llu | %6llu | %8llu |\n",
                 Rate * 100.0, Requests,

@@ -1,6 +1,7 @@
 #include "analysis/evidence.h"
 
 #include <sstream>
+#include <type_traits>
 
 namespace snowwhite {
 namespace analysis {
@@ -146,40 +147,30 @@ private:
   bool Pending = false;
 };
 
+/// Writes every stored field (forEachField) as one JSON member.
+template <typename Evidence>
+void writeFields(JsonWriter &W, const Evidence &E) {
+  forEachField(E, [&W](const char *Key, const auto &Field) {
+    using Type = std::decay_t<decltype(Field)>;
+    W.key(Key);
+    if constexpr (std::is_same_v<Type, wasm::ValType>) {
+      W.value(std::string(wasm::valTypeName(Field)));
+    } else if constexpr (std::is_same_v<Type, bool>) {
+      W.value(Field);
+    } else if constexpr (std::is_same_v<Type, std::vector<uint32_t>>) {
+      W.open('[');
+      for (uint32_t Element : Field)
+        W.raw(std::to_string(Element));
+      W.close(']');
+    } else {
+      W.value(uint64_t(Field));
+    }
+  });
+}
+
 void writeParam(JsonWriter &W, const ParamEvidence &E) {
   W.open('{');
-  W.key("low_type").value(std::string(wasm::valTypeName(E.LowType)));
-  W.key("direct_loads").value(uint64_t(E.DirectLoads));
-  W.key("direct_stores").value(uint64_t(E.DirectStores));
-  W.key("derived_loads").value(uint64_t(E.DerivedLoads));
-  W.key("derived_stores").value(uint64_t(E.DerivedStores));
-  W.key("min_access_bytes").value(uint64_t(E.MinAccessBytes));
-  W.key("max_access_bytes").value(uint64_t(E.MaxAccessBytes));
-  W.key("sign_ext_loads").value(uint64_t(E.SignExtLoads));
-  W.key("zero_ext_loads").value(uint64_t(E.ZeroExtLoads));
-  W.key("signed_ops").value(uint64_t(E.SignedOps));
-  W.key("unsigned_ops").value(uint64_t(E.UnsignedOps));
-  W.key("signed_cmps").value(uint64_t(E.SignedCmps));
-  W.key("unsigned_cmps").value(uint64_t(E.UnsignedCmps));
-  W.key("float_ops").value(uint64_t(E.FloatOps));
-  W.key("conditions").value(uint64_t(E.Conditions));
-  W.key("escapes_to_calls").value(uint64_t(E.EscapesToCalls));
-  W.key("escapes_indirect").value(uint64_t(E.EscapesIndirect));
-  W.key("stored_to_memory").value(uint64_t(E.StoredToMemory));
-  W.key("must_direct_loads").value(uint64_t(E.MustDirectLoads));
-  W.key("must_direct_stores").value(uint64_t(E.MustDirectStores));
-  W.key("must_derived_loads").value(uint64_t(E.MustDerivedLoads));
-  W.key("must_derived_stores").value(uint64_t(E.MustDerivedStores));
-  W.key("must_signed_ops").value(uint64_t(E.MustSignedOps));
-  W.key("must_unsigned_ops").value(uint64_t(E.MustUnsignedOps));
-  W.key("deref_via_callee").value(E.DereferencedViaCallee);
-  W.key("stored_via_callee").value(E.StoredViaCallee);
-  W.key("call_targets");
-  W.open('[');
-  for (uint32_t Target : E.CallTargets)
-    W.raw(std::to_string(Target));
-  W.close(']');
-  W.key("call_targets_overflow").value(E.CallTargetsOverflow);
+  writeFields(W, E);
   W.key("used_as_address").value(E.usedAsAddress());
   W.key("stored_through").value(E.storedThrough());
   W.close('}');
@@ -187,17 +178,7 @@ void writeParam(JsonWriter &W, const ParamEvidence &E) {
 
 void writeReturn(JsonWriter &W, const ReturnEvidence &E) {
   W.open('{');
-  W.key("low_type").value(std::string(wasm::valTypeName(E.LowType)));
-  W.key("total_returns").value(uint64_t(E.TotalReturns));
-  W.key("from_load").value(uint64_t(E.FromLoad));
-  W.key("from_comparison").value(uint64_t(E.FromComparison));
-  W.key("from_const").value(uint64_t(E.FromConst));
-  W.key("from_call").value(uint64_t(E.FromCall));
-  W.key("from_param").value(uint64_t(E.FromParam));
-  W.key("from_other").value(uint64_t(E.FromOther));
-  W.key("min_load_bytes").value(uint64_t(E.MinLoadBytes));
-  W.key("max_load_bytes").value(uint64_t(E.MaxLoadBytes));
-  W.key("sign_ext_loads").value(uint64_t(E.SignExtLoads));
+  writeFields(W, E);
   W.close('}');
 }
 

@@ -130,6 +130,68 @@ struct ReturnEvidence {
   uint32_t SignExtLoads = 0;
 };
 
+/// Calls V(Key, Field) for every stored field of E, in declaration order.
+/// Key is the field's JSON key in `snowwhite analyze` output; Field is the
+/// member itself: wasm::ValType, an unsigned counter, bool, or (CallTargets
+/// only) std::vector<uint32_t>. The derived predicates (usedAsAddress(),
+/// storedThrough(), ...) are functions of these and are not visited. The
+/// prediction cache key (model/serve_daemon.cpp) and the JSON writer both
+/// walk this one list.
+template <typename Visitor>
+void forEachField(const ParamEvidence &E, Visitor &&V) {
+  V("low_type", E.LowType);
+  V("direct_loads", E.DirectLoads);
+  V("direct_stores", E.DirectStores);
+  V("derived_loads", E.DerivedLoads);
+  V("derived_stores", E.DerivedStores);
+  V("min_access_bytes", E.MinAccessBytes);
+  V("max_access_bytes", E.MaxAccessBytes);
+  V("sign_ext_loads", E.SignExtLoads);
+  V("zero_ext_loads", E.ZeroExtLoads);
+  V("signed_ops", E.SignedOps);
+  V("unsigned_ops", E.UnsignedOps);
+  V("signed_cmps", E.SignedCmps);
+  V("unsigned_cmps", E.UnsignedCmps);
+  V("float_ops", E.FloatOps);
+  V("conditions", E.Conditions);
+  V("escapes_to_calls", E.EscapesToCalls);
+  V("escapes_indirect", E.EscapesIndirect);
+  V("stored_to_memory", E.StoredToMemory);
+  V("must_direct_loads", E.MustDirectLoads);
+  V("must_direct_stores", E.MustDirectStores);
+  V("must_derived_loads", E.MustDerivedLoads);
+  V("must_derived_stores", E.MustDerivedStores);
+  V("must_signed_ops", E.MustSignedOps);
+  V("must_unsigned_ops", E.MustUnsignedOps);
+  V("deref_via_callee", E.DereferencedViaCallee);
+  V("stored_via_callee", E.StoredViaCallee);
+  V("call_targets", E.CallTargets);
+  V("call_targets_overflow", E.CallTargetsOverflow);
+}
+
+template <typename Visitor>
+void forEachField(const ReturnEvidence &E, Visitor &&V) {
+  V("low_type", E.LowType);
+  V("total_returns", E.TotalReturns);
+  V("from_load", E.FromLoad);
+  V("from_comparison", E.FromComparison);
+  V("from_const", E.FromConst);
+  V("from_call", E.FromCall);
+  V("from_param", E.FromParam);
+  V("from_other", E.FromOther);
+  V("min_load_bytes", E.MinLoadBytes);
+  V("max_load_bytes", E.MaxLoadBytes);
+  V("sign_ext_loads", E.SignExtLoads);
+}
+
+// Tripwires for forEachField: a field added to either struct changes its
+// size (on this ABI) and fails the build until the visitor covers it and
+// the size here is updated.
+static_assert(sizeof(ParamEvidence) == 128,
+              "ParamEvidence changed: visit the new field in forEachField");
+static_assert(sizeof(ReturnEvidence) == 40,
+              "ReturnEvidence changed: visit the new field in forEachField");
+
 /// Summary for one defined function.
 struct FunctionSummary {
   uint32_t DefinedIndex = 0;

@@ -12,6 +12,7 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
+#include <type_traits>
 
 namespace snowwhite {
 namespace model {
@@ -45,48 +46,21 @@ void appendTokenFrame(const std::vector<std::string> &Tokens,
   }
 }
 
-// Tripwires for the evidence packers below: a field added to either struct
-// changes its size (on this ABI) and fails the build until the packer
-// covers it and the size here is updated.
-static_assert(sizeof(analysis::ParamEvidence) == 128,
-              "ParamEvidence changed: pack the new field into the cache key");
-static_assert(sizeof(analysis::ReturnEvidence) == 40,
-              "ReturnEvidence changed: pack the new field into the cache key");
-
-/// Every stored ParamEvidence field in declaration order, one ULEB128 each;
-/// CallTargets is its count then each target. usedAsAddress() and
-/// storedThrough() are derived from these, so they stay out.
-void appendEvidence(const analysis::ParamEvidence &E, std::string &Out) {
-  for (uint64_t Field :
-       {uint64_t(E.LowType), uint64_t(E.DirectLoads),
-        uint64_t(E.DirectStores), uint64_t(E.DerivedLoads),
-        uint64_t(E.DerivedStores), uint64_t(E.MinAccessBytes),
-        uint64_t(E.MaxAccessBytes), uint64_t(E.SignExtLoads),
-        uint64_t(E.ZeroExtLoads), uint64_t(E.SignedOps),
-        uint64_t(E.UnsignedOps), uint64_t(E.SignedCmps),
-        uint64_t(E.UnsignedCmps), uint64_t(E.FloatOps),
-        uint64_t(E.Conditions), uint64_t(E.EscapesToCalls),
-        uint64_t(E.EscapesIndirect), uint64_t(E.StoredToMemory),
-        uint64_t(E.MustDirectLoads), uint64_t(E.MustDirectStores),
-        uint64_t(E.MustDerivedLoads), uint64_t(E.MustDerivedStores),
-        uint64_t(E.MustSignedOps), uint64_t(E.MustUnsignedOps),
-        uint64_t(E.DereferencedViaCallee), uint64_t(E.StoredViaCallee)})
-    encodeULEB128(Field, Out);
-  encodeULEB128(E.CallTargets.size(), Out);
-  for (uint32_t Target : E.CallTargets)
-    encodeULEB128(Target, Out);
-  encodeULEB128(E.CallTargetsOverflow, Out);
-}
-
-/// Every ReturnEvidence field in declaration order, one ULEB128 each.
-void appendEvidence(const analysis::ReturnEvidence &E, std::string &Out) {
-  for (uint64_t Field :
-       {uint64_t(E.LowType), uint64_t(E.TotalReturns), uint64_t(E.FromLoad),
-        uint64_t(E.FromComparison), uint64_t(E.FromConst),
-        uint64_t(E.FromCall), uint64_t(E.FromParam), uint64_t(E.FromOther),
-        uint64_t(E.MinLoadBytes), uint64_t(E.MaxLoadBytes),
-        uint64_t(E.SignExtLoads)})
-    encodeULEB128(Field, Out);
+/// Every stored field of an evidence struct (analysis::forEachField), in
+/// declaration order, one ULEB128 each; CallTargets is its count then each
+/// target.
+template <typename Evidence>
+void appendEvidence(const Evidence &E, std::string &Out) {
+  analysis::forEachField(E, [&Out](const char *, const auto &Field) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(Field)>,
+                                 std::vector<uint32_t>>) {
+      encodeULEB128(Field.size(), Out);
+      for (uint32_t Element : Field)
+        encodeULEB128(Element, Out);
+    } else {
+      encodeULEB128(static_cast<uint64_t>(Field), Out);
+    }
+  });
 }
 
 } // namespace
@@ -212,6 +186,11 @@ std::optional<CachedPrediction> PredictionCache::find(uint64_t Hash,
 
 void PredictionCache::insert(uint64_t Hash, std::string Key,
                              CachedPrediction Value) {
+  admit(Hash, std::move(Key), std::move(Value), /*Restored=*/false);
+}
+
+void PredictionCache::admit(uint64_t Hash, std::string Key,
+                            CachedPrediction Value, bool Restored) {
   Shard &S = *Shards[Hash % Shards.size()];
   std::lock_guard<std::mutex> Lock(S.Mutex);
   std::vector<Entry> &Bucket = S.Buckets[Hash];
@@ -231,44 +210,22 @@ void PredictionCache::insert(uint64_t Hash, std::string Key,
   E.LastUse = ++S.Clock;
   S.Stats.Bytes += E.Bytes;
   ++S.Stats.Entries;
-  ++S.Stats.Insertions;
-  telemetry::counter("serve_cache.insertions").add();
-  if (Collided) {
-    // Distinct key, same 64-bit hash: a detected collision. Both entries
-    // stay resident side by side; byte-wise key comparison keeps their
-    // answers apart.
-    ++S.Stats.Collisions;
-    telemetry::counter("serve_cache.collisions").add();
-  }
-  Bucket.push_back(std::move(E));
-  evictOverBudget(S);
-  assert(shardConsistent(S) && "cache counters diverged after insert");
-}
-
-void PredictionCache::restoreEntry(std::string Key, CachedPrediction Value) {
-  // Shard by the current configuration, not the snapshot's: a snapshot
-  // taken at a different NumShards still lands every entry on the shard
-  // find() will consult.
-  uint64_t Hash = keyHash(Key);
-  Shard &S = *Shards[Hash % Shards.size()];
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  std::vector<Entry> &Bucket = S.Buckets[Hash];
-  for (Entry &E : Bucket) {
-    if (E.Key == Key) {
-      E.LastUse = ++S.Clock;
-      return;
+  // A restore re-admits what an earlier insert already counted, so it
+  // leaves the insertion cadence (and the collision count) alone.
+  if (!Restored) {
+    ++S.Stats.Insertions;
+    telemetry::counter("serve_cache.insertions").add();
+    if (Collided) {
+      // Distinct key, same 64-bit hash: a detected collision. Both entries
+      // stay resident side by side; byte-wise key comparison keeps their
+      // answers apart.
+      ++S.Stats.Collisions;
+      telemetry::counter("serve_cache.collisions").add();
     }
   }
-  Entry E;
-  E.Bytes = entryBytes(Key, Value);
-  E.Key = std::move(Key);
-  E.Value = std::move(Value);
-  E.LastUse = ++S.Clock;
-  S.Stats.Bytes += E.Bytes;
-  ++S.Stats.Entries;
   Bucket.push_back(std::move(E));
   evictOverBudget(S);
-  assert(shardConsistent(S) && "cache counters diverged after restore");
+  assert(shardConsistent(S) && "cache counters diverged after admit");
 }
 
 void PredictionCache::evictOverBudget(Shard &S) {
@@ -444,7 +401,7 @@ std::vector<uint8_t> PredictionCache::serializeSnapshot() const {
   W.u64(Shards.size());
   for (const std::unique_ptr<Shard> &S : Shards) {
     std::lock_guard<std::mutex> Lock(S->Mutex);
-    // Oldest-LRU-first, so restoreEntry() replays recency in file order and
+    // Oldest-LRU-first, so a load replays recency in file order and
     // a budget-constrained load evicts exactly what the live cache would
     // have evicted next.
     std::vector<const Entry *> Ordered;
@@ -545,8 +502,13 @@ PredictionCache::loadSnapshot(const std::string &Path,
       Quarantine(Parsed.error().code(), 1);
       continue;
     }
-    for (StagedEntry &E : Staged)
-      restoreEntry(std::move(E.Key), std::move(E.Value));
+    // Shard by the current configuration, not the snapshot's: a snapshot
+    // taken at a different NumShards still lands every entry on the shard
+    // find() will consult.
+    for (StagedEntry &E : Staged) {
+      uint64_t Hash = keyHash(E.Key);
+      admit(Hash, std::move(E.Key), std::move(E.Value), /*Restored=*/true);
+    }
     ++Report.SegmentsLoaded;
     Report.EntriesLoaded += Staged.size();
   }
@@ -614,19 +576,23 @@ ServeDaemon::ServeDaemon(nn::Seq2SeqModel &Model, const Task &BoundTask,
       WorkerInjectors.push_back(std::make_unique<fault::FaultInjector>(Cfg));
     }
   }
-  for (size_t I = 0; I < Options.NumWorkers; ++I) {
-    ServingOptions PerWorker = Options.Serving;
-    PerWorker.Cache = Cache.get();
-    if (I < WorkerInjectors.size())
-      PerWorker.Faults = WorkerInjectors[I].get();
-    Engines.push_back(
-        std::make_unique<ServingEngine>(Model, BoundTask, PerWorker));
-  }
-  PendingCost.assign(Options.NumWorkers, 0);
+  Workers.resize(Options.NumWorkers);
+  for (size_t I = 0; I < Workers.size(); ++I)
+    Workers[I].Engine =
+        std::make_unique<ServingEngine>(Model, BoundTask, workerOptions(I));
+}
+
+ServingOptions ServeDaemon::workerOptions(size_t Shard) const {
+  ServingOptions PerWorker = Options.Serving;
+  PerWorker.Cache = Cache.get();
+  PerWorker.Faults = Shard < WorkerInjectors.size()
+                         ? WorkerInjectors[Shard].get()
+                         : nullptr;
+  return PerWorker;
 }
 
 size_t ServeDaemon::shardOf(const ServeRequest &Request) const {
-  if (Engines.size() == 1)
+  if (Workers.size() == 1)
     return 0;
   // Route by the token sequence alone so byte-identical inputs always land
   // on the same worker — duplicates then replay sequentially in submission
@@ -634,7 +600,7 @@ size_t ServeDaemon::shardOf(const ServeRequest &Request) const {
   uint64_t Hash = 0xdaef00dULL;
   for (const std::string &Tok : Request.InputTokens)
     Hash = hashCombine(Hash, hashString(Tok));
-  return static_cast<size_t>(Hash % Engines.size());
+  return static_cast<size_t>(Hash % Workers.size());
 }
 
 std::string ServeDaemon::requestSignature(const ServeRequest &Request) {
@@ -646,8 +612,27 @@ std::string ServeDaemon::requestSignature(const ServeRequest &Request) {
 uint64_t ServeDaemon::effectiveCost(const ServeRequest &Request) const {
   uint64_t Budget = Request.StepBudget != 0 ? Request.StepBudget
                                             : Options.Serving.DefaultStepBudget;
-  // A zero-budget request still occupies a queue slot and a drain turn.
+  // A zero-budget request still occupies a queue slot and a pump turn.
   return std::max<uint64_t>(1, Budget);
+}
+
+void ServeDaemon::countQueueRejection(ServeOutcome Cause) {
+  ++Ledger.Submitted;
+  ++Ledger.Rejected;
+  // Per-request metrics are looked up once per process: the registry keeps
+  // metric addresses stable, and decltype(auto) binds a reference (or a
+  // no-op value when telemetry is compiled out).
+  static decltype(auto) SubmittedCount =
+      telemetry::counter("serving.submitted");
+  SubmittedCount.add();
+  telemetry::counter("serving.rejected").add();
+  if (Cause == ServeOutcome::RejectedShutdown) {
+    ++Ledger.RejectedShutdown;
+    telemetry::counter("serving.rejected.shutdown").add();
+  } else {
+    ++Ledger.RejectedQueueFull;
+    telemetry::counter("serving.rejected.queue_full").add();
+  }
 }
 
 AdmitResult ServeDaemon::submit(DaemonRequest Request) {
@@ -655,10 +640,14 @@ AdmitResult ServeDaemon::submit(DaemonRequest Request) {
   static decltype(auto) SubmittedCount =
       telemetry::counter("daemon.submitted");
   SubmittedCount.add();
+  if (Stopped) {
+    countQueueRejection(ServeOutcome::RejectedShutdown);
+    return {AdmitOutcome::RejectedShutdown, 0};
+  }
   size_t Shard = shardOf(Request.Request);
+  Worker &W = Workers[Shard];
   std::string Signature;
-  bool TrackPoison = !Stopped && Options.PoisonStrikeLimit > 0;
-  if (TrackPoison) {
+  if (Options.PoisonStrikeLimit > 0) {
     Signature = requestSignature(Request.Request);
     if (Denylist.count(Signature) > 0) {
       ++Stats.RejectedPoisoned;
@@ -669,19 +658,19 @@ AdmitResult ServeDaemon::submit(DaemonRequest Request) {
   // Overload shedding before the quota check: a shed request should not
   // burn a tenant token it never got to use.
   uint64_t Cost = effectiveCost(Request.Request);
-  if (!Stopped && Options.ShardCostBudget > 0 &&
-      PendingCost[Shard] + Cost > Options.ShardCostBudget) {
+  if (Options.ShardCostBudget > 0 &&
+      W.PendingCost + Cost > Options.ShardCostBudget) {
     ++Stats.RejectedOverload;
     telemetry::counter("daemon.rejected.overload").add();
     // Each pump round drains the shard's whole queue, so the backlog
     // clears at ShardCostBudget per round (virtual time): hint the round
     // count after which this request's cost fits.
-    uint64_t RetryAfter = (PendingCost[Shard] + Cost +
-                           Options.ShardCostBudget - 1) /
-                          Options.ShardCostBudget;
+    uint64_t RetryAfter =
+        (W.PendingCost + Cost + Options.ShardCostBudget - 1) /
+        Options.ShardCostBudget;
     return {AdmitOutcome::RejectedOverload, RetryAfter};
   }
-  if (!Stopped && Options.TenantCapacity > 0) {
+  if (Options.TenantCapacity > 0) {
     auto [It, IsNew] = Tenants.try_emplace(Request.Tenant);
     if (IsNew)
       It->second.Tokens = Options.TenantCapacity;
@@ -692,32 +681,49 @@ AdmitResult ServeDaemon::submit(DaemonRequest Request) {
     }
     --It->second.Tokens;
   }
-  uint64_t Id = Request.Request.Id;
-  if (!Engines[Shard]->submit(std::move(Request.Request)))
-    return {Engines[Shard]->stopped() ? AdmitOutcome::RejectedShutdown
-                                      : AdmitOutcome::RejectedQueueFull,
-            0};
-  PendingCost[Shard] += Cost;
-  if (TrackPoison)
-    PendingSignatures[Id] = {std::move(Signature), Shard};
+  if (W.Queue.size() >= Options.Serving.QueueCapacity) {
+    countQueueRejection(ServeOutcome::RejectedQueueFull);
+    return {AdmitOutcome::RejectedQueueFull, 0};
+  }
+  W.Queue.push_back({std::move(Request.Request), std::move(Signature)});
+  W.PendingCost += Cost;
+  static decltype(auto) QueueDepth = telemetry::gauge("serving.queue_depth");
+  QueueDepth.set(static_cast<int64_t>(W.Queue.size()));
   return {AdmitOutcome::Admitted, 0};
 }
 
 std::vector<ServeResponse> ServeDaemon::pump() {
   telemetry::ScopedPhase Phase("daemon.pump");
   ++Stats.PumpRounds;
-  std::vector<std::vector<ServeResponse>> PerShard(Engines.size());
-  // Each task drains exactly one engine (disjoint state); the shared model
-  // is read-only at inference and the cache is internally locked.
-  ThreadPool::global().parallelTasks(Engines.size(), [&](size_t Shard) {
-    PerShard[Shard] = Engines[Shard]->drain();
+  std::vector<std::vector<ServeResponse>> PerShard(Workers.size());
+  // Each task answers exactly one worker's queue (disjoint state); the
+  // shared model is read-only at inference and the cache is internally
+  // locked.
+  ThreadPool::global().parallelTasks(Workers.size(), [&](size_t Shard) {
+    Worker &W = Workers[Shard];
+    PerShard[Shard].reserve(W.Queue.size());
+    for (const QueuedRequest &Entry : W.Queue)
+      PerShard[Shard].push_back(W.Engine->processOne(Entry.Request));
   });
-  // drain() processes everything queued, so the pending cost resets; new
-  // submissions start the next round's backlog from zero.
-  std::fill(PendingCost.begin(), PendingCost.end(), 0);
   size_t Total = 0;
   for (const std::vector<ServeResponse> &Responses : PerShard)
     Total += Responses.size();
+  if (Total > 0) // The depth gauge is shared; an idle round leaves it.
+    telemetry::gauge("serving.queue_depth").set(0);
+  // Poison watchdog: each response pairs with its queue entry, which holds
+  // the signature. Strikes can restart engines, so they run after the
+  // parallel round is fully done.
+  for (size_t Shard = 0; Shard < Workers.size(); ++Shard) {
+    Worker &W = Workers[Shard];
+    if (Options.PoisonStrikeLimit > 0)
+      for (size_t I = 0; I < W.Queue.size(); ++I)
+        if (PerShard[Shard][I].Suspect)
+          strikeSignature(W.Queue[I].Signature, Shard);
+    // Every queued request was answered, so the pending cost resets; new
+    // submissions start the next round's backlog from zero.
+    W.Queue.clear();
+    W.PendingCost = 0;
+  }
   std::vector<ServeResponse> Out;
   Out.reserve(Total);
   for (std::vector<ServeResponse> &Responses : PerShard)
@@ -727,22 +733,6 @@ std::vector<ServeResponse> ServeDaemon::pump() {
                    [](const ServeResponse &A, const ServeResponse &B) {
                      return A.Id < B.Id;
                    });
-  // Poison watchdog: attribute Suspect answers to their signatures, then
-  // apply the strikes (strikes can restart engines, so they run after the
-  // parallel drain is fully done).
-  if (Options.PoisonStrikeLimit > 0 && !PendingSignatures.empty()) {
-    std::vector<std::pair<std::string, size_t>> Struck;
-    for (const ServeResponse &Response : Out) {
-      auto It = PendingSignatures.find(Response.Id);
-      if (It == PendingSignatures.end())
-        continue;
-      if (Response.Suspect)
-        Struck.push_back(It->second);
-      PendingSignatures.erase(It);
-    }
-    for (auto &[Signature, Shard] : Struck)
-      strikeSignature(Signature, Shard);
-  }
   // Virtual-time quota refill: one refill per pump round, never wall clock,
   // so admission decisions replay identically run to run.
   if (Options.TenantCapacity > 0 && Options.TenantRefill > 0)
@@ -752,9 +742,9 @@ std::vector<ServeResponse> ServeDaemon::pump() {
   maybeSnapshotOnCadence();
   if (Cache)
     Cache->publishGauges();
-  for (size_t I = 0; I < Engines.size(); ++I)
+  for (size_t I = 0; I < Workers.size(); ++I)
     telemetry::gauge("daemon.shard" + std::to_string(I) + ".queued")
-        .set(static_cast<int64_t>(Engines[I]->queued()));
+        .set(static_cast<int64_t>(Workers[I].Queue.size()));
   return Out;
 }
 
@@ -771,19 +761,12 @@ void ServeDaemon::strikeSignature(const std::string &Signature, size_t Shard) {
 
 void ServeDaemon::restartShard(size_t Shard) {
   // Archive the old engine's stats first so engineTotals() and the
-  // admission identity keep counting every request it ever saw. Shutting
-  // it down converts anything still queued (there should be nothing after
-  // a drain) into accounted RejectedShutdown outcomes rather than losing
-  // them.
-  Engines[Shard]->shutdown();
-  accumulateStats(ArchivedStats, Engines[Shard]->stats());
-  ServingOptions PerWorker = Options.Serving;
-  PerWorker.Cache = Cache.get();
-  if (Shard < WorkerInjectors.size())
-    PerWorker.Faults = WorkerInjectors[Shard].get();
-  Engines[Shard] =
-      std::make_unique<ServingEngine>(Model, BoundTask, PerWorker);
-  PendingCost[Shard] = 0;
+  // admission identity keep counting every request it ever answered. The
+  // queue is the daemon's, so replacing the engine loses no request.
+  Worker &W = Workers[Shard];
+  accumulateStats(Ledger, W.Engine->stats());
+  W.Engine = std::make_unique<ServingEngine>(Model, BoundTask,
+                                             workerOptions(Shard));
   ++Stats.ShardRestarts;
   telemetry::counter("daemon.shard_restarts").add();
 }
@@ -832,17 +815,26 @@ std::vector<ServeResponse> ServeDaemon::shutdown() {
   bool WasStopped = Stopped;
   Stopped = true;
   std::vector<ServeResponse> Out;
-  for (std::unique_ptr<ServingEngine> &Engine : Engines) {
-    std::vector<ServeResponse> Rejected = Engine->shutdown();
-    for (ServeResponse &Response : Rejected)
+  // Admitted-but-unprocessed requests must not vanish at teardown: each one
+  // gets an explicit rejected-shutdown response, keeping the accounting
+  // invariant Submitted == Rejected + Answered exact at exit.
+  for (Worker &W : Workers) {
+    for (const QueuedRequest &Entry : W.Queue) {
+      ServeResponse Response;
+      Response.Id = Entry.Request.Id;
+      Response.Outcome = ServeOutcome::RejectedShutdown;
+      Response.Detail = "engine shut down before request was processed";
       Out.push_back(std::move(Response));
+      countQueueRejection(ServeOutcome::RejectedShutdown);
+    }
+    W.Queue.clear();
+    W.PendingCost = 0;
   }
+  telemetry::gauge("serving.queue_depth").set(0);
   std::stable_sort(Out.begin(), Out.end(),
                    [](const ServeResponse &A, const ServeResponse &B) {
                      return A.Id < B.Id;
                    });
-  PendingSignatures.clear();
-  std::fill(PendingCost.begin(), PendingCost.end(), 0);
   // Final snapshot after the queues are flushed: the warm state a restart
   // will reload. Only on the first shutdown — the cache cannot have
   // changed since.
@@ -853,19 +845,18 @@ std::vector<ServeResponse> ServeDaemon::shutdown() {
 
 size_t ServeDaemon::queued() const {
   size_t Total = 0;
-  for (const std::unique_ptr<ServingEngine> &Engine : Engines)
-    Total += Engine->queued();
+  for (const Worker &W : Workers)
+    Total += W.Queue.size();
   return Total;
 }
 
-const ServingStats &ServeDaemon::engineStats(size_t Shard) const {
-  return Engines[Shard]->stats();
-}
-
 ServingStats ServeDaemon::engineTotals() const {
-  ServingStats Total = ArchivedStats;
-  for (const std::unique_ptr<ServingEngine> &Engine : Engines)
-    accumulateStats(Total, Engine->stats());
+  ServingStats Total = Ledger;
+  for (const Worker &W : Workers) {
+    accumulateStats(Total, W.Engine->stats());
+    // Admitted requests count as submitted from admission on.
+    Total.Submitted += W.Queue.size();
+  }
   return Total;
 }
 
@@ -886,7 +877,7 @@ std::string ServeDaemon::healthReport() const {
     Report.push_back('\n');
   };
   Line("status", Stopped ? "stopped" : "running");
-  Line("workers", std::to_string(Engines.size()));
+  Line("workers", std::to_string(Workers.size()));
   Line("queued", std::to_string(queued()));
   Line("submitted", std::to_string(Stats.Submitted));
   Line("rejected.quota", std::to_string(Stats.RejectedQuota));
@@ -922,16 +913,16 @@ std::string ServeDaemon::healthReport() const {
 }
 
 bool ServeDaemon::checkStats() const {
-  uint64_t Forwarded = ArchivedStats.Submitted;
-  for (const std::unique_ptr<ServingEngine> &Engine : Engines) {
-    if (!Engine->checkStats())
+  for (const Worker &W : Workers)
+    if (!W.Engine->checkStats())
       return false;
-    Forwarded += Engine->stats().Submitted;
-  }
   if (Cache && !Cache->checkStats())
     return false;
-  return Stats.Submitted == Stats.RejectedQuota + Stats.RejectedPoisoned +
-                                Stats.RejectedOverload + Forwarded;
+  ServingStats Total = engineTotals();
+  return Total.Submitted == Total.Rejected + Total.Answered + queued() &&
+         Total.Rejected == Total.RejectedQueueFull + Total.RejectedShutdown &&
+         Stats.Submitted == Stats.RejectedQuota + Stats.RejectedPoisoned +
+                                Stats.RejectedOverload + Total.Submitted;
 }
 
 } // namespace model

@@ -1,9 +1,12 @@
 //===- model/serve_daemon.h - Sharded serving daemon + prediction cache ----===//
 //
-// The long-lived form of the serving engine: N worker shards (one
-// ServingEngine each, all sharing one trained model), an admission layer
-// with per-tenant token-bucket quotas, and a sharded signature-keyed
-// prediction cache. The paper's dedup stage shows real workloads are
+// The one way requests enter serving: N worker shards, each a bounded
+// request queue in front of one ServingEngine (the degradation ladder; all
+// engines share one trained model), an admission layer with per-tenant
+// token-bucket quotas, and a sharded signature-keyed prediction cache. The
+// daemon owns every queue, the queue-full and shutdown rejections and the
+// Submitted == Rejected + Answered ledger; an engine only answers what a
+// pump round hands it. The paper's dedup stage shows real workloads are
 // dominated by repeated abstracted instruction sequences, so a daemon that
 // answers repeats from cache turns the dominant case into a hash lookup.
 //
@@ -27,7 +30,9 @@
 // Suspect) earns its signature a watchdog strike; at the configured strike
 // limit the signature is denylisted (later retries get RejectedPoisoned
 // without touching a worker) and the shard's engine is restarted in place,
-// mirroring the trainer supervisor's skip-and-continue design.
+// mirroring the trainer supervisor's skip-and-continue design. A restart
+// replaces only the engine; the shard's queue is the daemon's and loses
+// nothing.
 //
 // Determinism: requests shard by the hash of their token sequence, so
 // byte-identical inputs always land on the same worker and replay in
@@ -200,9 +205,11 @@ private:
   };
 
   void evictOverBudget(Shard &S); ///< Caller holds S.Mutex.
-  /// Re-admits one snapshot entry (no Insertions/Collisions accounting);
-  /// recency is the restore order, i.e. the snapshot's LRU order.
-  void restoreEntry(std::string Key, CachedPrediction Value);
+  /// The one admit path behind insert() and loadSnapshot(). A Restored
+  /// entry skips the Insertions/Collisions counters; its recency is the
+  /// restore order, i.e. the snapshot's LRU order.
+  void admit(uint64_t Hash, std::string Key, CachedPrediction Value,
+             bool Restored);
   /// Counter reconciliation for one shard; caller holds S.Mutex.
   static bool shardConsistent(const Shard &S);
 
@@ -234,10 +241,10 @@ struct AdmitResult {
 struct DaemonOptions {
   /// Worker shards; each owns a ServingEngine over the shared model.
   size_t NumWorkers = 2;
-  /// Per-worker engine options. Cache is overwritten with the daemon's own
-  /// cache (null when Cache.ByteBudget is 0). Faults, if set, is shared
-  /// across workers and is not thread-safe — only use with NumWorkers == 1,
-  /// or set WorkerFaults instead for a per-worker injector.
+  /// Per-worker engine options; QueueCapacity bounds each worker's queue.
+  /// Cache is overwritten with the daemon's own cache (null when
+  /// Cache.ByteBudget is 0), and Faults with the worker's injector from
+  /// WorkerFaults (null when WorkerFaults is unset).
   ServingOptions Serving;
   /// The daemon's prediction cache; a zero byte budget means no cache.
   PredictionCache::Config Cache;
@@ -247,9 +254,9 @@ struct DaemonOptions {
   uint64_t TenantCapacity = 0;
   uint64_t TenantRefill = 0;
   /// When set, each worker shard gets its own FaultInjector seeded
-  /// deterministically from (Seed, shard index) — safe at any NumWorkers,
-  /// unlike the shared Serving.Faults pointer. A restarted shard keeps its
-  /// injector, so fault schedules survive watchdog restarts.
+  /// deterministically from (Seed, shard index), safe at any NumWorkers. A
+  /// restarted shard keeps its injector, so fault schedules survive watchdog
+  /// restarts.
   std::optional<fault::FaultConfig> WorkerFaults;
   /// Snapshot file for crash-safe warm restarts ("" disables). Written on
   /// graceful shutdown and, when SnapshotEveryInsertions > 0, whenever that
@@ -275,8 +282,8 @@ struct DaemonRequest {
   std::string Tenant;
 };
 
-/// Daemon-level counters. Engine-level outcomes live in the per-shard
-/// ServingStats (engineStats / engineTotals).
+/// Daemon-level counters. Queue and ladder outcomes are in the ServingStats
+/// ledger (engineTotals).
 struct DaemonStats {
   uint64_t Submitted = 0;
   uint64_t RejectedQuota = 0;
@@ -309,22 +316,24 @@ public:
   /// input, and a retry with a different budget is the same poison.
   static std::string requestSignature(const ServeRequest &Request);
 
-  /// Admission: denylist check, quota check, overload check, then bounded
-  /// enqueue on the target shard. Every call counts as submitted somewhere:
-  /// daemon-level rejections in stats(), everything else in the shard
-  /// engine's stats.
+  /// Admission: shutdown check, denylist check, overload check, quota
+  /// check, then bounded enqueue on the target shard. Every call counts as
+  /// submitted somewhere: denylist, overload and quota rejections in
+  /// stats(), queue-full and shutdown rejections and admitted requests in
+  /// engineTotals().
   AdmitResult submit(DaemonRequest Request);
 
-  /// Drains every worker shard (in parallel over the global thread pool),
-  /// merges the responses sorted by request Id, feeds Suspect answers to
-  /// the poison watchdog, refills tenant buckets by TenantRefill, writes a
-  /// cadence snapshot when due, and republishes per-shard gauges.
+  /// Runs every worker shard's queue through its engine's ladder (shards in
+  /// parallel over the global thread pool), merges the responses sorted by
+  /// request Id, feeds Suspect answers to the poison watchdog, refills
+  /// tenant buckets by TenantRefill, writes a cadence snapshot when due,
+  /// and republishes per-shard gauges.
   std::vector<ServeResponse> pump();
 
-  /// Stops admission on every engine and rejects all queued requests with
-  /// RejectedShutdown (one response per victim, merged and Id-sorted).
-  /// Writes a final snapshot when SnapshotPath is set. Idempotent; after it
-  /// returns, checkStats() holds with empty queues so
+  /// Stops admission and rejects all queued requests with RejectedShutdown
+  /// (one response per victim, merged and Id-sorted). Writes a final
+  /// snapshot when SnapshotPath is set. Idempotent; after it returns,
+  /// checkStats() holds with empty queues so
   /// Submitted == Rejected + Answered exactly.
   std::vector<ServeResponse> shutdown();
 
@@ -338,13 +347,14 @@ public:
   /// Saves the cache to Options.SnapshotPath immediately.
   Result<void> saveSnapshotNow();
 
-  size_t numWorkers() const { return Engines.size(); }
+  size_t numWorkers() const { return Workers.size(); }
   size_t queued() const;
   bool stopped() const { return Stopped; }
   const DaemonStats &stats() const { return Stats; }
-  const ServingStats &engineStats(size_t Shard) const;
-  /// Field-wise sum of every shard engine's ServingStats, including the
-  /// stats archived from engines replaced by watchdog restarts.
+  /// The serving ledger: the queue-full and shutdown rejections plus the
+  /// field-wise sum of every shard engine's ServingStats, including engines
+  /// replaced by watchdog restarts. Submitted also counts the requests
+  /// still queued.
   ServingStats engineTotals() const;
   PredictionCache *cache() { return Cache.get(); }
 
@@ -360,7 +370,9 @@ public:
   }
 
   /// Pending decode-step cost currently admitted to a shard's queue.
-  uint64_t shardPendingCost(size_t Shard) const { return PendingCost[Shard]; }
+  uint64_t shardPendingCost(size_t Shard) const {
+    return Workers[Shard].PendingCost;
+  }
 
   /// The report from the last loadSnapshotNow(), if one ran.
   const std::optional<SnapshotLoadReport> &lastLoadReport() const {
@@ -373,16 +385,34 @@ public:
   std::string healthReport() const;
 
   /// Daemon-wide consistency: every engine's checkStats(), the cache's
-  /// checkStats(), and the admission identity: Submitted == daemon-level
-  /// rejections + sum(engine Submitted, archived engines included).
+  /// checkStats(), the ledger (engineTotals: Submitted == Rejected +
+  /// Answered + queued()) and the admission identity: Submitted ==
+  /// denylist, overload and quota rejections + engineTotals().Submitted.
   bool checkStats() const;
 
 private:
   struct TenantBucket {
     uint64_t Tokens = 0;
   };
+  /// An admitted request waiting for the next pump round.
+  struct QueuedRequest {
+    ServeRequest Request;
+    /// Watchdog identity (requestSignature); empty when the watchdog is off.
+    std::string Signature;
+  };
+  /// One worker shard: its queue and the engine that answers it.
+  struct Worker {
+    std::unique_ptr<ServingEngine> Engine;
+    std::vector<QueuedRequest> Queue;
+    /// Sum of the queued requests' effective step budgets, for overload
+    /// shedding.
+    uint64_t PendingCost = 0;
+  };
 
   uint64_t effectiveCost(const ServeRequest &Request) const;
+  ServingOptions workerOptions(size_t Shard) const;
+  /// Counts one queue-full or shutdown rejection in the ledger.
+  void countQueueRejection(ServeOutcome Cause);
   void strikeSignature(const std::string &Signature, size_t Shard);
   void restartShard(size_t Shard);
   void maybeSnapshotOnCadence();
@@ -392,17 +422,13 @@ private:
   DaemonOptions Options;
   std::unique_ptr<PredictionCache> Cache; ///< Null at a zero byte budget.
   std::vector<std::unique_ptr<fault::FaultInjector>> WorkerInjectors;
-  std::vector<std::unique_ptr<ServingEngine>> Engines;
+  std::vector<Worker> Workers;
   std::map<std::string, TenantBucket> Tenants;
-  /// In-flight admitted requests the watchdog is tracking: Id -> (signature,
-  /// shard). Populated at submit when the watchdog is on; drained at pump.
-  std::map<uint64_t, std::pair<std::string, size_t>> PendingSignatures;
   std::map<std::string, size_t> Strikes;
   std::set<std::string> Denylist;
-  /// Stats of engines replaced by restartShard(), folded into engineTotals.
-  ServingStats ArchivedStats;
-  /// Per-shard pending decode-step cost for overload shedding.
-  std::vector<uint64_t> PendingCost;
+  /// The ServingStats no live engine holds: queue-full and shutdown
+  /// rejections, and the stats of engines replaced by restartShard().
+  ServingStats Ledger;
   uint64_t LastSnapshotInsertions = 0;
   std::optional<SnapshotLoadReport> LastLoad;
   bool LastSaveOk = true;

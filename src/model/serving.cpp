@@ -73,84 +73,19 @@ ServingEngine::ServingEngine(nn::Seq2SeqModel &Model, const Task &BoundTask,
     : Model(Model), BoundTask(BoundTask), Options(Options),
       Baseline(BoundTask) {}
 
-bool ServingEngine::submit(ServeRequest Request) {
-  ++Stats.Submitted;
+ServeResponse ServingEngine::processOne(const ServeRequest &Request) {
   // Per-request metrics are looked up once per process: the registry keeps
   // metric addresses stable, and decltype(auto) binds a reference (or a
   // no-op value when telemetry is compiled out).
   static decltype(auto) SubmittedCount =
       telemetry::counter("serving.submitted");
-  SubmittedCount.add();
-  if (Stopped) {
-    ++Stats.Rejected;
-    ++Stats.RejectedShutdown;
-    telemetry::counter("serving.rejected").add();
-    telemetry::counter("serving.rejected.shutdown").add();
-    return false;
-  }
-  if (Queue.size() >= Options.QueueCapacity) {
-    ++Stats.Rejected;
-    ++Stats.RejectedQueueFull;
-    telemetry::counter("serving.rejected").add();
-    telemetry::counter("serving.rejected.queue_full").add();
-    return false;
-  }
-  Queue.push_back(std::move(Request));
-  static decltype(auto) QueueDepth = telemetry::gauge("serving.queue_depth");
-  QueueDepth.set(static_cast<int64_t>(Queue.size()));
-  return true;
-}
-
-std::vector<ServeResponse> ServingEngine::drain() {
-  std::vector<ServeResponse> Out;
-  if (Queue.empty()) // The depth gauge is shared; an idle drain leaves it.
-    return Out;
-  while (!Queue.empty()) {
-    // Queued requests were counted as submitted at admission, so they go
-    // straight to the ladder.
-    Out.push_back(serveLadder(Queue.front()));
-    Queue.pop_front();
-  }
-  telemetry::gauge("serving.queue_depth").set(0);
-  return Out;
-}
-
-ServeResponse ServingEngine::processOne(const ServeRequest &Request) {
-  ++Stats.Submitted;
-  static decltype(auto) SubmittedCount =
-      telemetry::counter("serving.submitted");
-  SubmittedCount.add();
-  return serveLadder(Request);
-}
-
-std::vector<ServeResponse> ServingEngine::shutdown() {
-  Stopped = true;
-  std::vector<ServeResponse> Out;
-  // Admitted-but-unprocessed requests must not vanish at teardown: each one
-  // gets an explicit rejected-shutdown response, keeping the accounting
-  // invariant Submitted == Rejected + Answered exact at exit.
-  while (!Queue.empty()) {
-    ServeResponse Response;
-    Response.Id = Queue.front().Id;
-    Response.Outcome = ServeOutcome::RejectedShutdown;
-    Response.Detail = "engine shut down before request was processed";
-    Out.push_back(std::move(Response));
-    Queue.pop_front();
-    ++Stats.Rejected;
-    ++Stats.RejectedShutdown;
-    telemetry::counter("serving.rejected").add();
-    telemetry::counter("serving.rejected.shutdown").add();
-  }
-  telemetry::gauge("serving.queue_depth").set(0);
-  return Out;
-}
-
-ServeResponse ServingEngine::serveLadder(const ServeRequest &Request) {
   static decltype(auto) AnsweredCount = telemetry::counter("serving.answered");
   static decltype(auto) CachedCount =
       telemetry::counter("serving.answers.cached");
   static decltype(auto) CacheHitNs =
       telemetry::histogram("serving.cache_hit_ns");
+  ++Stats.Submitted;
+  SubmittedCount.add();
   telemetry::Span RequestSpan("serve.request");
   uint64_t RequestStartNs = telemetry::nowNs();
   ServeResponse Response;

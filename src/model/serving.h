@@ -1,12 +1,16 @@
-//===- model/serving.h - Batched inference with graceful degradation -------===//
+//===- model/serving.h - The degradation ladder over a trained model ------===//
 //
-// A bounded-queue batch prediction engine over a trained model. Every
-// admitted request gets an answer: the engine tries budgeted beam search
-// first, falls back to greedy decoding when the beam cannot finish inside
-// the request's step budget (or produces non-finite logits), and falls back
-// again to the statistical baseline (§6.3) when the model itself is
-// unusable. Each response is tagged with the tier that produced it, so
+// One type query in, one tagged answer out. The engine tries budgeted beam
+// search first, falls back to greedy decoding when the beam cannot finish
+// inside the request's step budget (or produces non-finite logits), and
+// falls back again to the statistical baseline (§6.3) when the model itself
+// is unusable. Each response is tagged with the tier that produced it, so
 // downstream consumers know how much to trust the prediction.
+//
+// The engine is only the ladder: processOne() is its one entry point.
+// Queues, admission, shutdown rejection and the Submitted == Rejected +
+// Answered ledger across rejections belong to ServeDaemon
+// (model/serve_daemon.h), the one way requests enter serving.
 //
 // Deadlines are enforced by construction, not by wall-clock supervision:
 // the only unbounded cost in prediction is decoder invocations, so a
@@ -24,7 +28,6 @@
 #include "support/fault.h"
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -49,7 +52,7 @@ enum class ServeOutcome : uint8_t {
   OkBaseline,
   OkCached,
   RejectedQueueFull, ///< Admission control: never enqueued, no prediction.
-  RejectedShutdown,  ///< Engine stopped before the request could run.
+  RejectedShutdown,  ///< Daemon stopped before the request could run.
 };
 
 const char *tierName(PredictionTier Tier);
@@ -61,12 +64,13 @@ struct ServingOptions {
   /// Decode-step budget for requests that do not set their own. This is the
   /// request's whole deadline: all tiers together never exceed it.
   uint64_t DefaultStepBudget = 256;
-  /// Admission-queue bound; submissions beyond it are rejected, not queued.
+  /// Bound on each ServeDaemon worker's queue; submissions beyond it are
+  /// rejected, not queued. The engine itself has no queue.
   size_t QueueCapacity = 64;
   /// Optional fault injector: injectModelFailure() is drawn once per model
   /// decode attempt (beam and greedy separately), simulating a model tier
   /// failure so tests can exercise the full ladder deterministically.
-  /// Not owned.
+  /// Not owned. ServeDaemon sets it per worker (DaemonOptions::WorkerFaults).
   fault::FaultInjector *Faults = nullptr;
   /// Optional signature-keyed prediction cache (model/serve_daemon.h). When
   /// set, the ladder consults it before decoding and publishes every
@@ -106,6 +110,8 @@ struct ServeResponse {
 };
 
 /// Aggregate counters, for the experiment tables and serve-loop summaries.
+/// An engine counts what reaches its ladder; the rejection fields are filled
+/// by ServeDaemon, whose engineTotals() reports the whole ledger.
 struct ServingStats {
   uint64_t Submitted = 0;
   uint64_t Rejected = 0;
@@ -136,38 +142,18 @@ public:
   ServingEngine(nn::Seq2SeqModel &Model, const Task &BoundTask,
                 const ServingOptions &Options);
 
-  /// Admission control: false means the queue is full and the request was
-  /// dropped (counted in stats().Rejected); the caller owns retry policy.
-  bool submit(ServeRequest Request);
-
-  /// Processes everything queued, in submission order.
-  /// Returns one response per processed request.
-  std::vector<ServeResponse> drain();
-
-  /// Runs one request through the degradation ladder immediately, bypassing
-  /// the queue. Counts as a submission (it enters the system), so the stats
-  /// invariant Submitted == Rejected + Answered + queued() holds on every
-  /// path — see checkStats().
+  /// Runs one request through the degradation ladder and answers it. Counts
+  /// one submission and one answer, so checkStats() holds after every call.
   ServeResponse processOne(const ServeRequest &Request);
 
-  /// Teardown: rejects every request still queued with RejectedShutdown
-  /// (one response per victim, no predictions) and stops admission — later
-  /// submit() calls are rejected the same way instead of queueing work that
-  /// would never run. Idempotent. After shutdown the queue is empty, so
-  /// Submitted == Rejected + Answered holds exactly.
-  std::vector<ServeResponse> shutdown();
-
-  bool stopped() const { return Stopped; }
-
-  size_t queued() const { return Queue.size(); }
   const ServingStats &stats() const { return Stats; }
 
   /// True iff the outcome counters are consistent: every submitted request
-  /// is accounted for by exactly one terminal state (rejected, answered, or
-  /// still queued), rejections partition by cause, and answers partition
-  /// across the four tiers.
+  /// is accounted for by exactly one terminal state (rejected or answered),
+  /// rejections partition by cause, and answers partition across the four
+  /// tiers.
   bool checkStats() const {
-    return Stats.Submitted == Stats.Rejected + Stats.Answered + Queue.size() &&
+    return Stats.Submitted == Stats.Rejected + Stats.Answered &&
            Stats.Rejected ==
                Stats.RejectedQueueFull + Stats.RejectedShutdown &&
            Stats.Answered == Stats.BeamAnswers + Stats.GreedyAnswers +
@@ -175,17 +161,11 @@ public:
   }
 
 private:
-  /// The degradation ladder itself; assumes the request was already counted
-  /// as submitted (by submit() or processOne()).
-  ServeResponse serveLadder(const ServeRequest &Request);
-
   nn::Seq2SeqModel &Model;
   const Task &BoundTask;
   ServingOptions Options;
   StatisticalBaseline Baseline;
-  std::deque<ServeRequest> Queue;
   ServingStats Stats;
-  bool Stopped = false;
 };
 
 } // namespace model

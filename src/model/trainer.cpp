@@ -24,6 +24,13 @@ using nn::Seq2SeqModel;
 
 namespace {
 
+/// Global-norm gradient clip applied at every optimizer step.
+constexpr float GradClipNorm = 5.0f;
+/// Decay of the supervisor's loss EMA (the spike detector's baseline).
+constexpr float EmaDecay = 0.9f;
+/// Learning-rate multiplier applied at each supervisor rollback.
+constexpr float LrBackoffFactor = 0.5f;
+
 float validationLoss(Seq2SeqModel &Model, const Task &TrainTask,
                      size_t MaxSamples, size_t BatchSize) {
   telemetry::ScopedPhase ValidPhase("train.validation");
@@ -446,14 +453,14 @@ TrainResult trainModel(const Task &TrainTask, const TrainOptions &Options) {
       }
 
       if (!BadReason) {
-        Optimizer.step(Options.GradClipNorm);
+        Optimizer.step(GradClipNorm);
         telemetry::counter("train.steps").add();
         State.ConsecutiveBad = 0;
         if (Heal.Enabled) {
           State.EmaLoss = State.EmaCount == 0
                               ? static_cast<double>(Loss)
-                              : Heal.EmaDecay * State.EmaLoss +
-                                    (1.0 - Heal.EmaDecay) *
+                              : EmaDecay * State.EmaLoss +
+                                    (1.0 - EmaDecay) *
                                         static_cast<double>(Loss);
           ++State.EmaCount;
           if (Heal.SnapshotEveryBatches > 0 &&
@@ -473,7 +480,7 @@ TrainResult trainModel(const Task &TrainTask, const TrainOptions &Options) {
         if (!Forced && State.ConsecutiveBad >= Heal.RollbackAfterConsecutive &&
             LastGood.Valid) {
           LastGood.restore(*Out.Model, Optimizer);
-          State.LrScale *= Heal.LrBackoffFactor;
+          State.LrScale *= LrBackoffFactor;
           Optimizer.setLearningRate(Options.LearningRate * State.LrScale);
           State.ConsecutiveBad = 0;
           ++Out.Recovery.Rollbacks;

@@ -29,7 +29,6 @@ struct RecoveryOptions {
   /// is treated as divergence. 0 disables spike detection; non-finite
   /// detection stays active.
   float LossSpikeFactor = 0.0f;
-  float EmaDecay = 0.9f;
   size_t EmaWarmupBatches = 20;
   /// Total recovery budget (skips + rollbacks). Once spent, training stops
   /// and TrainResult::Recovery.Diverged is set rather than looping forever
@@ -39,8 +38,6 @@ struct RecoveryOptions {
   /// in-memory snapshot (weights + Adam state) with LR backoff, instead of
   /// another plain skip.
   size_t RollbackAfterConsecutive = 3;
-  /// Learning-rate multiplier applied at each rollback.
-  float LrBackoffFactor = 0.5f;
   /// Cadence (in healthy batches) of the last-good snapshot that rollback
   /// restores. The snapshot is in memory; on-disk checkpoints (PR 2) remain
   /// the crash-recovery layer and are refreshed after every rollback.
@@ -95,9 +92,6 @@ struct TrainOptions {
 
   /// Self-healing supervisor configuration.
   RecoveryOptions Recovery;
-
-  /// Global-norm gradient clip applied at every optimizer step (0 disables).
-  float GradClipNorm = 5.0f;
 
   /// Test oracle for the supervisor: these batch numbers (1-based) take the
   /// skip path unconditionally, with no fault involved. A run that poisons

@@ -219,6 +219,10 @@ TEST(CacheSnapshot, RoundTripIsBitIdentical) {
   EXPECT_TRUE(Restored.checkStats());
   EXPECT_EQ(Restored.totals().Entries, Keys.size());
   EXPECT_EQ(Restored.totals().Bytes, Original.totals().Bytes);
+  // A restore re-admits entries; it inserts nothing, so it cannot trip an
+  // insertion-cadence snapshot.
+  EXPECT_EQ(Restored.totals().Insertions, 0u);
+  EXPECT_EQ(Restored.totals().Collisions, 0u);
 
   for (const std::string &Key : Keys) {
     auto Before = Original.find(hashString(Key), Key);

@@ -13,8 +13,10 @@
 //  - per-shard stats sum to the cache/daemon totals (and to the telemetry
 //    registry) at any SNOWWHITE_THREADS, and warm-path responses are
 //    bit-identical across thread counts;
-//  - engine/daemon shutdown rejects admitted-but-unprocessed requests with
-//    a distinct outcome so Submitted == Rejected + Answered holds at exit;
+//  - the daemon's queues are bounded, its ledger (engineTotals) holds after
+//    every call and matches the telemetry registry, and shutdown rejects
+//    admitted-but-unprocessed requests with a distinct outcome so
+//    Submitted == Rejected + Answered holds at exit;
 //  - per-tenant token buckets admit deterministically in virtual time.
 //
 //===----------------------------------------------------------------------===//
@@ -23,6 +25,7 @@
 #include "model/serving.h"
 #include "model/task.h"
 #include "model/trainer.h"
+#include "support/fault.h"
 #include "support/hash.h"
 #include "support/scratch_dir.h"
 #include "support/telemetry.h"
@@ -371,6 +374,59 @@ TEST(PredictionCache, RequestKeyCoversEveryEvidenceField) {
   EXPECT_EQ(Distinct.size(), 1 + Param.size() + Ret.size());
 }
 
+// Pins the key bytes for a request with both evidences present and every
+// stored field nonzero and distinct (several past one ULEB128 byte), so a
+// reordered, dropped or re-encoded field fails here. Captured on the code
+// that wrote the key before the evidence packers shared a field visitor.
+TEST(PredictionCache, RequestKeyGolden) {
+  ServeRequest Request;
+  Request.InputTokens = {"i32", "<begin>", "local.get", "i32.load", "<end>"};
+  analysis::ParamEvidence &P = Request.Evidence.Param.emplace();
+  P.LowType = wasm::ValType::I64;
+  P.DirectLoads = 1;
+  P.DirectStores = 2;
+  P.DerivedLoads = 3;
+  P.DerivedStores = 4;
+  P.MinAccessBytes = 5;
+  P.MaxAccessBytes = 200;
+  P.SignExtLoads = 7;
+  P.ZeroExtLoads = 8;
+  P.SignedOps = 9;
+  P.UnsignedOps = 10;
+  P.SignedCmps = 11;
+  P.UnsignedCmps = 12;
+  P.FloatOps = 13;
+  P.Conditions = 14;
+  P.EscapesToCalls = 15;
+  P.EscapesIndirect = 16;
+  P.StoredToMemory = 17;
+  P.MustDirectLoads = 18;
+  P.MustDirectStores = 19;
+  P.MustDerivedLoads = 20;
+  P.MustDerivedStores = 21;
+  P.MustSignedOps = 22;
+  P.MustUnsignedOps = 300;
+  P.DereferencedViaCallee = true;
+  P.StoredViaCallee = true;
+  P.CallTargets = {3, 9, 70000};
+  P.CallTargetsOverflow = true;
+  analysis::ReturnEvidence &R = Request.Evidence.Ret.emplace();
+  R.LowType = wasm::ValType::F64;
+  R.TotalReturns = 31;
+  R.FromLoad = 32;
+  R.FromComparison = 33;
+  R.FromConst = 34;
+  R.FromCall = 35;
+  R.FromParam = 36;
+  R.FromOther = 37;
+  R.MinLoadBytes = 38;
+  R.MaxLoadBytes = 129;
+  R.SignExtLoads = 1u << 30;
+  std::string Key = PredictionCache::requestKey(Request, 256, 5, 5);
+  EXPECT_EQ(Key.size(), 94u);
+  EXPECT_EQ(hashToHex(hashString(Key)), "a0844e74c14b1e14");
+}
+
 // The watchdog signature and the cache key share one token frame: the
 // signature is the key's prefix, whatever the knobs and evidence.
 TEST(PredictionCache, RequestSignatureIsTheKeyPrefix) {
@@ -506,48 +562,142 @@ TEST(ServingCache, HitIsBitIdenticalToColdCompute) {
   EXPECT_EQ(Totals.Misses, Inputs.size());
 }
 
-// --- Shutdown accounting ------------------------------------------------------
+// --- Admission and the serving ledger ----------------------------------------
 
-TEST(ServingShutdown, QueuedRequestsRejectedWithDistinctOutcome) {
-  DaemonFixture &F = fixture();
-  ServingOptions Opts;
-  Opts.DefaultStepBudget = 64;
-  Opts.QueueCapacity = 8;
-  ServingEngine Engine(*F.Trained.Model, sharedTask(), Opts);
-
-  std::vector<std::vector<std::string>> Inputs = sampleInputs(4);
-  ASSERT_GE(Inputs.size(), 2u);
-  for (size_t I = 0; I < Inputs.size(); ++I) {
-    ServeRequest Request;
-    Request.Id = I;
-    Request.InputTokens = Inputs[I];
-    ASSERT_TRUE(Engine.submit(std::move(Request)));
+/// A one-worker daemon without a cache; every request is the same input.
+struct LedgerRig {
+  static DaemonOptions oneWorkerNoCache(DaemonOptions Opts) {
+    Opts.NumWorkers = 1;
+    Opts.Cache.ByteBudget = 0;
+    return Opts;
   }
-  ASSERT_EQ(Engine.queued(), Inputs.size());
 
-  std::vector<ServeResponse> Victims = Engine.shutdown();
-  ASSERT_EQ(Victims.size(), Inputs.size());
-  for (const ServeResponse &Victim : Victims) {
-    EXPECT_EQ(Victim.Outcome, ServeOutcome::RejectedShutdown);
-    EXPECT_TRUE(Victim.Predictions.empty());
+  ServeDaemon Daemon;
+  std::vector<std::string> Input = sampleInputs(1).at(0);
+  uint64_t NextId = 0;
+
+  explicit LedgerRig(const DaemonOptions &Opts)
+      : Daemon(*fixture().Trained.Model, sharedTask(), oneWorkerNoCache(Opts)) {
   }
-  EXPECT_EQ(Engine.queued(), 0u);
-  EXPECT_TRUE(Engine.stopped());
-  EXPECT_TRUE(Engine.checkStats());
-  const ServingStats &Stats = Engine.stats();
-  EXPECT_EQ(Stats.Submitted, Stats.Rejected + Stats.Answered);
-  EXPECT_EQ(Stats.RejectedShutdown, Inputs.size());
 
-  // Admission is closed: later submissions reject with the same code.
-  ServeRequest Late;
-  Late.Id = 99;
-  Late.InputTokens = Inputs[0];
-  EXPECT_FALSE(Engine.submit(std::move(Late)));
-  EXPECT_EQ(Engine.stats().RejectedShutdown, Inputs.size() + 1);
-  EXPECT_TRUE(Engine.checkStats());
-  // Idempotent.
-  EXPECT_TRUE(Engine.shutdown().empty());
+  AdmitOutcome submit(uint64_t StepBudget = 0) {
+    DaemonRequest Request;
+    Request.Request.Id = NextId++;
+    Request.Request.InputTokens = Input;
+    Request.Request.StepBudget = StepBudget;
+    return Daemon.submit(std::move(Request)).Outcome;
+  }
+};
+
+TEST(ServeDaemonTest, AdmissionQueueIsBounded) {
+  DaemonOptions Opts;
+  Opts.Serving.QueueCapacity = 4;
+  LedgerRig Rig(Opts);
+  size_t Accepted = 0, Rejected = 0;
+  for (int I = 0; I < 10; ++I) {
+    AdmitOutcome Outcome = Rig.submit();
+    EXPECT_TRUE(Outcome == AdmitOutcome::Admitted ||
+                Outcome == AdmitOutcome::RejectedQueueFull);
+    (Outcome == AdmitOutcome::Admitted ? Accepted : Rejected) += 1;
+  }
+  EXPECT_EQ(Accepted, 4u);
+  EXPECT_EQ(Rejected, 6u);
+  EXPECT_EQ(Rig.Daemon.engineTotals().RejectedQueueFull, 6u);
+  EXPECT_EQ(Rig.Daemon.pump().size(), 4u);
+  EXPECT_EQ(Rig.Daemon.engineTotals().Answered, 4u);
 }
+
+// The ledger is checked after every externally observable state change,
+// under injected model failures, across every way a request leaves the
+// daemon's queues: queue-full rejection, each ladder tier, a budget too
+// small for any model tier, shutdown of a queued request and submission
+// after shutdown.
+TEST(ServeDaemonTest, StatsInvariantHoldsOnEveryExitPath) {
+  DaemonOptions Opts;
+  Opts.Serving.TopK = 3;
+  Opts.Serving.QueueCapacity = 6;
+  fault::FaultConfig Faults;
+  Faults.Seed = 11;
+  Faults.ModelFailureRate = 0.5;
+  Opts.WorkerFaults = Faults;
+  LedgerRig Rig(Opts);
+  ServeDaemon &Daemon = Rig.Daemon;
+
+  // Overfill the bounded queue: 6 admissions, 4 rejections.
+  for (int I = 0; I < 10; ++I) {
+    Rig.submit();
+    ASSERT_TRUE(Daemon.checkStats()) << "after submit " << I;
+  }
+  Daemon.pump();
+  ASSERT_TRUE(Daemon.checkStats()) << "after pump";
+  EXPECT_EQ(Rig.submit(/*StepBudget=*/1), AdmitOutcome::Admitted);
+  ASSERT_TRUE(Daemon.checkStats()) << "after budget-starved submit";
+  Daemon.pump();
+  ASSERT_TRUE(Daemon.checkStats()) << "after budget-starved pump";
+  EXPECT_EQ(Rig.submit(), AdmitOutcome::Admitted);
+  EXPECT_EQ(Daemon.shutdown().size(), 1u);
+  ASSERT_TRUE(Daemon.checkStats()) << "after shutdown";
+  EXPECT_EQ(Rig.submit(), AdmitOutcome::RejectedShutdown);
+  ASSERT_TRUE(Daemon.checkStats()) << "after late submit";
+
+  ServingStats Stats = Daemon.engineTotals();
+  EXPECT_EQ(Stats.Submitted, 13u);
+  EXPECT_EQ(Stats.Rejected, 6u);
+  EXPECT_EQ(Stats.RejectedQueueFull, 4u);
+  EXPECT_EQ(Stats.RejectedShutdown, 2u);
+  EXPECT_EQ(Stats.Answered, 7u);
+  EXPECT_GT(Stats.BaselineAnswers, 0u);
+  EXPECT_EQ(Daemon.queued(), 0u);
+}
+
+// The registry mirrors are views over the same events the ledger counts:
+// after a run against a fresh registry, both must agree exactly. Registry
+// inspection needs the live telemetry build.
+#if SNOWWHITE_TELEMETRY_ENABLED
+TEST(ServeDaemonTest, RegistryCountersMirrorEngineTotals) {
+  telemetry::Registry::global().reset();
+  DaemonOptions Opts;
+  Opts.Serving.QueueCapacity = 4;
+  LedgerRig Rig(Opts);
+  ServeDaemon &Daemon = Rig.Daemon;
+  for (int I = 0; I < 7; ++I)
+    Rig.submit();
+  EXPECT_EQ(telemetry::gauge("serving.queue_depth").value(), 4);
+  Daemon.pump();
+  // A budget just wide enough to admit the beam tier but far too small for
+  // width x length decoding: the beam burns its allowance and the
+  // exhaustion is tallied (in both the ledger and its registry mirror).
+  Rig.submit(2 * fixture().Trained.Model->config().MaxTgtLen);
+  Daemon.pump();
+  Rig.submit();
+  Daemon.shutdown();
+
+  ServingStats Stats = Daemon.engineTotals();
+  EXPECT_GT(Stats.BudgetExhaustions, 0u)
+      << "the starved beam must be tallied, not silently degraded";
+  EXPECT_EQ(Stats.RejectedQueueFull, 3u);
+  EXPECT_EQ(Stats.RejectedShutdown, 1u);
+  EXPECT_EQ(telemetry::counter("serving.submitted").value(), Stats.Submitted);
+  EXPECT_EQ(telemetry::counter("serving.rejected").value(), Stats.Rejected);
+  EXPECT_EQ(telemetry::counter("serving.rejected.queue_full").value(),
+            Stats.RejectedQueueFull);
+  EXPECT_EQ(telemetry::counter("serving.rejected.shutdown").value(),
+            Stats.RejectedShutdown);
+  EXPECT_EQ(telemetry::counter("serving.answered").value(), Stats.Answered);
+  EXPECT_EQ(telemetry::counter("serving.answers.beam").value(),
+            Stats.BeamAnswers);
+  EXPECT_EQ(telemetry::counter("serving.answers.greedy").value(),
+            Stats.GreedyAnswers);
+  EXPECT_EQ(telemetry::counter("serving.answers.baseline").value(),
+            Stats.BaselineAnswers);
+  EXPECT_EQ(telemetry::counter("serving.budget_exhaustions").value(),
+            Stats.BudgetExhaustions);
+  EXPECT_EQ(telemetry::gauge("serving.queue_depth").value(),
+            static_cast<int64_t>(Daemon.queued()));
+  EXPECT_EQ(telemetry::histogram("serving.request_ns").count(),
+            Stats.Answered);
+}
+#endif // SNOWWHITE_TELEMETRY_ENABLED
 
 TEST(ServeDaemonTest, KillDuringLoadAccountsForEveryRequest) {
   DaemonFixture &F = fixture();
@@ -583,8 +733,10 @@ TEST(ServeDaemonTest, KillDuringLoadAccountsForEveryRequest) {
   ASSERT_EQ(Victims.size(), Inputs.size());
   for (size_t I = 0; I + 1 < Victims.size(); ++I)
     EXPECT_LT(Victims[I].Id, Victims[I + 1].Id); // Merged and Id-sorted.
-  for (const ServeResponse &Victim : Victims)
+  for (const ServeResponse &Victim : Victims) {
     EXPECT_EQ(Victim.Outcome, ServeOutcome::RejectedShutdown);
+    EXPECT_TRUE(Victim.Predictions.empty());
+  }
 
   EXPECT_TRUE(Daemon.stopped());
   EXPECT_TRUE(Daemon.checkStats());
@@ -598,7 +750,10 @@ TEST(ServeDaemonTest, KillDuringLoadAccountsForEveryRequest) {
   Late.Request.InputTokens = Inputs[0];
   EXPECT_EQ(Daemon.submit(std::move(Late)).Outcome,
             AdmitOutcome::RejectedShutdown);
+  EXPECT_EQ(Daemon.engineTotals().RejectedShutdown, Inputs.size() + 1);
   EXPECT_TRUE(Daemon.checkStats());
+  // Idempotent: a second shutdown has nothing left to reject.
+  EXPECT_TRUE(Daemon.shutdown().empty());
 }
 
 // --- Tenant quotas -------------------------------------------------------------

@@ -49,22 +49,21 @@
 //   snowwhite predict-batch [requests] [--fail-rate F] [--budget N]
 //                           [--queue N] [--seed S] [--verbose]
 //       Train a small model on a synthetic corpus, then run a batch of
-//       type-prediction requests through the degrade-gracefully serving
-//       engine. Emits one machine-readable line per request
+//       type-prediction requests through a one-worker serving daemon with
+//       no cache. Emits one machine-readable line per request
 //       (req= outcome= tier= steps= top1=) plus a summary; every request is
 //       answered even under injected model failures.
 //
-//   snowwhite serve [--fail-rate F] [--budget N] [--seed S]
-//       Same engine as a line-oriented REPL: each stdin line is a
-//       whitespace-separated wasm input-token sequence; the response line is
-//       printed to stdout. EOF or "quit" ends the session.
-//
-//   snowwhite serve --daemon [--workers N] [--cache-bytes N]
+//   snowwhite serve [--daemon] [--workers N] [--cache-bytes N]
 //                   [--tenant-capacity N] [--tenant-refill N]
 //                   [--snapshot PATH] [--snapshot-every N]
 //                   [--poison-strikes N] [--shard-cost-budget N]
-//       The sharded daemon form: N engine workers over the thread pool and
-//       a signature-keyed prediction cache, so repeated inputs answer from
+//                   [--fail-rate F] [--budget N] [--seed S]
+//       The serving daemon as a line-oriented REPL: each stdin line is a
+//       whitespace-separated wasm input-token sequence; the response line is
+//       printed to stdout. Without --daemon it runs one worker and no
+//       cache; --daemon selects 2 workers over the thread pool and an 8 MiB
+//       signature-keyed prediction cache, so repeated inputs answer from
 //       cache with tier=cached. An optional "@tenant " line prefix routes
 //       quota accounting; queued requests are processed on every line (one
 //       pump round). --snapshot makes restarts warm: the cache loads from
@@ -113,6 +112,7 @@
 #include <filesystem>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -815,6 +815,25 @@ bool parseServingFlags(int argc, char **argv, const char *Usage,
   return true;
 }
 
+/// Daemon options shared by predict-batch and serve: one worker, no cache
+/// and, at a nonzero FailRate, a per-worker model-failure injector seeded
+/// from Seed.
+model::DaemonOptions servingDaemonOptions(uint64_t Budget, size_t QueueCap,
+                                          double FailRate, uint64_t Seed) {
+  model::DaemonOptions Opts;
+  Opts.NumWorkers = 1;
+  Opts.Cache.ByteBudget = 0;
+  Opts.Serving.DefaultStepBudget = Budget;
+  Opts.Serving.QueueCapacity = QueueCap;
+  if (FailRate > 0.0) {
+    fault::FaultConfig FaultCfg;
+    FaultCfg.Seed = Seed;
+    FaultCfg.ModelFailureRate = FailRate;
+    Opts.WorkerFaults = FaultCfg;
+  }
+  return Opts;
+}
+
 } // namespace
 
 static int commandPredictBatch(int argc, char **argv) {
@@ -841,18 +860,10 @@ static int commandPredictBatch(int argc, char **argv) {
   if (Int8)
     Demo.Trained.Model->setInt8Inference(true);
 
-  fault::FaultConfig FaultCfg;
-  FaultCfg.Seed = Seed;
-  FaultCfg.ModelFailureRate = FailRate;
-  fault::FaultInjector Faults(FaultCfg);
-
-  model::ServingOptions Opts;
-  Opts.TopK = 3;
-  Opts.DefaultStepBudget = Budget;
-  Opts.QueueCapacity = QueueCap;
-  if (FailRate > 0.0)
-    Opts.Faults = &Faults;
-  model::ServingEngine Engine(*Demo.Trained.Model, *Demo.BoundTask, Opts);
+  model::DaemonOptions Opts =
+      servingDaemonOptions(Budget, QueueCap, FailRate, Seed);
+  Opts.Serving.TopK = 3;
+  model::ServeDaemon Daemon(*Demo.Trained.Model, *Demo.BoundTask, Opts);
 
   // Requests are the test split's raw input-token sequences, in order.
   const std::vector<uint32_t> &TestIdx = Demo.Data.Test;
@@ -861,22 +872,22 @@ static int commandPredictBatch(int argc, char **argv) {
     printError(Error(ErrorCode::NotFound, "no test samples to serve"));
     return 1;
   }
-  // Client-side retry: a full queue is a transient condition (draining
+  // Client-side retry: a full queue is a transient condition (a pump round
   // frees it), so admission failures retry under the deterministic backoff
   // policy. The virtual backoff spent lands in the fault.backoff_micros
   // histogram and the summary line.
   fault::RetryPolicy Retry;
   uint64_t BackoffMicros = 0;
   for (size_t I = 0; I < Total; ++I) {
-    model::ServeRequest Request;
-    Request.Id = I;
-    Request.InputTokens = Demo.Data.Samples[TestIdx[I]].Input;
+    model::DaemonRequest Request;
+    Request.Request.Id = I;
+    Request.Request.InputTokens = Demo.Data.Samples[TestIdx[I]].Input;
     Result<void> Admitted = fault::retryWithBackoff(
         Retry,
         [&]() -> Result<void> {
-          if (Engine.submit(Request))
+          if (Daemon.submit(Request).Outcome == model::AdmitOutcome::Admitted)
             return {};
-          for (const model::ServeResponse &Response : Engine.drain())
+          for (const model::ServeResponse &Response : Daemon.pump())
             printResponse(Response);
           return Error(ErrorCode::IoTransient, "serving queue full");
         },
@@ -886,20 +897,21 @@ static int commandPredictBatch(int argc, char **argv) {
       return 1;
     }
   }
-  for (const model::ServeResponse &Response : Engine.drain())
+  for (const model::ServeResponse &Response : Daemon.pump())
     printResponse(Response);
-  printStats(Engine.stats());
+  model::ServingStats Stats = Daemon.engineTotals();
+  printStats(Stats);
   if (BackoffMicros > 0)
     std::printf("client retries backoff-micros=%llu\n",
                 static_cast<unsigned long long>(BackoffMicros));
   if (!emitTelemetry(MetricsOut, TraceOut))
     return 1;
-  return Engine.stats().Answered == Total ? 0 : 1;
+  return Stats.Answered == Total ? 0 : 1;
 }
 
-/// The sharded daemon REPL behind `snowwhite serve --daemon`: requests fan
-/// out over worker shards, duplicates answer from the signature-keyed
-/// prediction cache, and an optional "@tenant " line prefix routes quota
+/// The daemon REPL behind `snowwhite serve`: requests fan out over worker
+/// shards, duplicates answer from the signature-keyed prediction cache when
+/// there is one, and an optional "@tenant " line prefix routes quota
 /// accounting. One pump round per input line keeps it interactive.
 static int runServeDaemonRepl(const ServingDemo &Demo,
                               model::DaemonOptions DaemonOpts,
@@ -1009,11 +1021,12 @@ static int commandServe(int argc, char **argv) {
       "[--snapshot-every N] [--poison-strikes N] [--shard-cost-budget N] "
       "[--fail-rate F] [--budget N] [--seed S] [--verbose] [--int8] "
       "[--metrics-out F] [--trace-out F]";
-  // Daemon-specific flags are peeled off first; the remainder goes through
-  // the shared serving-flag parser.
+  // Daemon flags are peeled off first; the remainder goes through the shared
+  // serving-flag parser. --daemon only changes the worker and cache
+  // defaults.
   bool Daemon = false;
-  size_t Workers = 2;
-  uint64_t CacheBytes = 8ull << 20;
+  std::optional<size_t> Workers;
+  std::optional<uint64_t> CacheBytes;
   uint64_t TenantCapacity = 0;
   uint64_t TenantRefill = 0;
   std::string SnapshotPath;
@@ -1095,69 +1108,17 @@ static int commandServe(int argc, char **argv) {
   if (Int8)
     Demo.Trained.Model->setInt8Inference(true);
 
-  fault::FaultConfig FaultCfg;
-  FaultCfg.Seed = Seed;
-  FaultCfg.ModelFailureRate = FailRate;
-  fault::FaultInjector Faults(FaultCfg);
-
-  model::ServingOptions Opts;
-  Opts.DefaultStepBudget = Budget;
-  Opts.QueueCapacity = QueueCap;
-  if (FailRate > 0.0)
-    Opts.Faults = &Faults;
-
-  if (Daemon) {
-    model::DaemonOptions DaemonOpts;
-    DaemonOpts.NumWorkers = Workers;
-    DaemonOpts.Serving = Opts;
-    // The shared fault injector is not thread-safe; the daemon derives one
-    // injector per worker from the config instead, safe at any worker
-    // count.
-    DaemonOpts.Serving.Faults = nullptr;
-    if (FailRate > 0.0)
-      DaemonOpts.WorkerFaults = FaultCfg;
-    DaemonOpts.Cache.ByteBudget = CacheBytes;
-    DaemonOpts.TenantCapacity = TenantCapacity;
-    DaemonOpts.TenantRefill = TenantRefill;
-    DaemonOpts.SnapshotPath = SnapshotPath;
-    DaemonOpts.SnapshotEveryInsertions = SnapshotEvery;
-    DaemonOpts.PoisonStrikeLimit = PoisonStrikes;
-    DaemonOpts.ShardCostBudget = ShardCostBudget;
-    return runServeDaemonRepl(Demo, DaemonOpts, MetricsOut, TraceOut);
-  }
-
-  model::ServingEngine Engine(*Demo.Trained.Model, *Demo.BoundTask, Opts);
-
-  std::fprintf(stderr, "ready — one request per line "
-                       "(wasm input tokens, e.g. \"i32 <begin> ...\"); "
-                       "\"quit\" or EOF ends the session\n");
-  std::string Line;
-  uint64_t NextId = 0;
-  while (std::getline(std::cin, Line)) {
-    if (Line == "quit")
-      break;
-    model::ServeRequest Request;
-    Request.Id = NextId++;
-    std::istringstream Tokens(Line);
-    std::string Token;
-    while (Tokens >> Token)
-      Request.InputTokens.push_back(Token);
-    if (Request.InputTokens.empty())
-      continue;
-    if (!Engine.submit(std::move(Request))) {
-      std::printf("req=%llu outcome=rejected-queue-full\n",
-                  static_cast<unsigned long long>(NextId - 1));
-      std::fflush(stdout);
-      continue;
-    }
-    for (const model::ServeResponse &Response : Engine.drain())
-      printResponse(Response);
-    std::fflush(stdout);
-  }
-  printStats(Engine.stats());
-  if (!emitTelemetry(MetricsOut, TraceOut))
-    return 1;
-  return 0;
+  model::DaemonOptions DaemonOpts =
+      servingDaemonOptions(Budget, QueueCap, FailRate, Seed);
+  DaemonOpts.NumWorkers = Workers.value_or(Daemon ? 2 : 1);
+  DaemonOpts.Cache.ByteBudget = CacheBytes.value_or(Daemon ? 8ull << 20 : 0);
+  DaemonOpts.TenantCapacity = TenantCapacity;
+  DaemonOpts.TenantRefill = TenantRefill;
+  DaemonOpts.SnapshotPath = SnapshotPath;
+  DaemonOpts.SnapshotEveryInsertions = SnapshotEvery;
+  DaemonOpts.PoisonStrikeLimit = PoisonStrikes;
+  DaemonOpts.ShardCostBudget = ShardCostBudget;
+  return runServeDaemonRepl(Demo, DaemonOpts, MetricsOut, TraceOut);
 }
 
 /// `snowwhite health <snapshot>`: offline snapshot triage. Loads the file
@@ -1212,12 +1173,12 @@ int main(int argc, char **argv) {
                  "  snowwhite predict-batch [requests] [--fail-rate F] "
                  "[--budget N] [--queue N] [--seed S] [--int8] "
                  "[--metrics-out F]\n"
-                 "  snowwhite serve [--fail-rate F] [--budget N] [--seed S] "
-                 "[--int8] [--metrics-out F]\n"
-                 "  snowwhite serve --daemon [--workers N] [--cache-bytes N] "
+                 "  snowwhite serve [--daemon] [--workers N] [--cache-bytes N] "
                  "[--tenant-capacity N] [--tenant-refill N] "
                  "[--snapshot PATH] [--snapshot-every N] "
-                 "[--poison-strikes N] [--shard-cost-budget N]\n"
+                 "[--poison-strikes N] [--shard-cost-budget N] "
+                 "[--fail-rate F] [--budget N] [--seed S] [--int8] "
+                 "[--metrics-out F]\n"
                  "  snowwhite health <snapshot>\n"
                  "  snowwhite metrics [--check FILE]\n");
     return 2;
