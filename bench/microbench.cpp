@@ -256,16 +256,15 @@ void BM_GemmThreads(benchmark::State &State) {
 }
 BENCHMARK(BM_GemmThreads)->Arg(1)->Arg(2)->Arg(4);
 
-/// Single-thread kernel-backend comparison on one square GEMM: the scalar
-/// reference vs the tuned (vectorized, cache-blocked) backend vs int8
-/// dequantize-on-accumulate. Pool pinned to one thread so the rows isolate
-/// the kernel itself; BM_GemmThreads above measures scaling.
-void benchGemmBackend(benchmark::State &State, const char *Backend,
-                      bool Int8) {
+/// Single-thread kernel comparison on one square GEMM: the scalar reference
+/// table vs the threaded entry point (the table this CPU was dispatched to)
+/// vs int8 dequantize-on-accumulate. Pool pinned to one thread so the rows
+/// isolate the kernel itself; BM_GemmThreads above measures scaling.
+enum class GemmPath { Reference, Tuned, Int8 };
+
+void benchGemmPath(benchmark::State &State, GemmPath Path) {
   namespace kernels = nn::kernels;
   ThreadPool::resetGlobal(1);
-  std::string Saved = kernels::activeName();
-  kernels::setActive(Backend);
   constexpr size_t M = 192, K = 192, N = 192;
   std::vector<float> AData(M * K), BData(K * N), C(M * N);
   Rng R(7);
@@ -274,35 +273,42 @@ void benchGemmBackend(benchmark::State &State, const char *Backend,
   for (float &V : BData)
     V = R.nextUniformFloat(1.0f);
   kernels::QuantizedMatrix Q;
-  if (Int8)
+  if (Path == GemmPath::Int8)
     Q = kernels::quantizeRowwise(BData.data(), K, N);
   for (auto _ : State) {
     std::fill(C.begin(), C.end(), 0.0f);
-    if (Int8)
+    switch (Path) {
+    case GemmPath::Reference:
+      kernels::reference().Gemm(M, K, N, AData.data(), BData.data(),
+                                C.data());
+      break;
+    case GemmPath::Tuned:
+      kernels::gemm(M, K, N, AData.data(), BData.data(), C.data());
+      break;
+    case GemmPath::Int8:
       kernels::gemmInt8(M, K, N, AData.data(), Q.Data.data(),
                         Q.RowScale.data(), C.data());
-    else
-      kernels::gemm(M, K, N, AData.data(), BData.data(), C.data());
+      break;
+    }
     benchmark::DoNotOptimize(C[0]);
   }
   State.SetItemsProcessed(int64_t(State.iterations()) *
                           int64_t(2 * M * K * N)); // FLOPs.
-  kernels::setActive(Saved);
   ThreadPool::resetGlobal(0);
 }
 
 void BM_GemmReference(benchmark::State &State) {
-  benchGemmBackend(State, "reference", /*Int8=*/false);
+  benchGemmPath(State, GemmPath::Reference);
 }
 BENCHMARK(BM_GemmReference);
 
 void BM_GemmTuned(benchmark::State &State) {
-  benchGemmBackend(State, "tuned", /*Int8=*/false);
+  benchGemmPath(State, GemmPath::Tuned);
 }
 BENCHMARK(BM_GemmTuned);
 
 void BM_GemmInt8(benchmark::State &State) {
-  benchGemmBackend(State, "tuned", /*Int8=*/true);
+  benchGemmPath(State, GemmPath::Int8);
 }
 BENCHMARK(BM_GemmInt8);
 

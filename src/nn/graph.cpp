@@ -12,11 +12,7 @@ namespace nn {
 
 namespace {
 
-/// Minimum total inner-loop operations before a kernel fans out over the
-/// pool (mirrors kernels::parallelOverRows; used by the ops that manage
-/// their own pool dispatch, like the embedding scatter).
-constexpr size_t ParallelMinWork = 1 << 15;
-
+using kernels::ParallelMinWork;
 using kernels::parallelOverRows;
 
 /// A borrowed arena that grew past this is freed when its graph ends. A

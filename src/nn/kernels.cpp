@@ -1,10 +1,10 @@
-//===- nn/kernels.cpp - GEMM kernel backends -------------------------------===//
+//===- nn/kernels.cpp - GEMM kernels ---------------------------------------===//
 //
-// Reference (scalar), tuned (register-blocked SIMD with runtime dispatch),
-// and differential (cross-checking) implementations of the four accumulate
-// primitives, plus the thread-pool row partitioner. Built with
-// -ffp-contract=off so multiply+add never fuses into FMA: the bit-identity
-// contract between backends depends on every term being rounded twice.
+// Reference (scalar) and AVX2 (register-blocked SIMD) implementations of the
+// four accumulate primitives, the CPU dispatch that picks one of them, and
+// the thread-pool row partitioner. Built with -ffp-contract=off so
+// multiply+add never fuses into FMA: the bit-identity contract between the
+// two tables depends on every term being rounded twice.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,11 +15,9 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define SNOWWHITE_KERNELS_X86 1
+#define SNOWWHITE_AVX2_KERNELS 1
 #include <immintrin.h>
 #endif
 
@@ -30,15 +28,10 @@ namespace kernels {
 namespace {
 
 std::atomic<uint64_t> PoolDispatches{0};
-std::atomic<uint64_t> DifferentialMismatchCount{0};
 
-/// Minimum total inner-loop operations before a kernel fans out over the
-/// pool; below this the scheduling overhead exceeds the loop cost.
-constexpr size_t ParallelMinWork = 1 << 15;
-
-// --- Reference backend -------------------------------------------------------
+// --- Reference kernels -------------------------------------------------------
 //
-// The executable specification. Every chain here is what the tuned kernels
+// The executable specification. Every chain here is what the AVX2 kernels
 // reproduce exactly; keep these loops boring.
 
 void referenceGemm(size_t M, size_t K, size_t N, const float *A,
@@ -110,9 +103,9 @@ void referenceGemmInt8(size_t M, size_t K, size_t N, const float *A,
   }
 }
 
-#ifdef SNOWWHITE_KERNELS_X86
+#ifdef SNOWWHITE_AVX2_KERNELS
 
-// --- AVX2 tuned kernels ------------------------------------------------------
+// --- AVX2 kernels ------------------------------------------------------------
 //
 // Register-blocked: 4 output rows x 16 output columns accumulate in 8 ymm
 // registers over the full K extent (ascending, mul then add — never FMA),
@@ -373,146 +366,40 @@ avx2GemmInt8(size_t M, size_t K, size_t N, const float *A, const int8_t *Q,
   }
 }
 
-#endif // SNOWWHITE_KERNELS_X86
+#endif // SNOWWHITE_AVX2_KERNELS
 
-// --- Tuned dispatch ----------------------------------------------------------
+// --- CPU dispatch ------------------------------------------------------------
 
-/// The kernels `tuned` runs on this CPU, named by their dispatch target.
-const KernelBackend &tunedDispatch() {
-  static const KernelBackend Dispatch = [] {
-#ifdef SNOWWHITE_KERNELS_X86
-    if (__builtin_cpu_supports("avx2"))
-      return KernelBackend{"avx2", avx2Gemm, avx2GemmTB, avx2GemmTA,
-                           avx2GemmInt8};
-#endif
-    // Without AVX2 the tuned backend is the reference: the two are
-    // bit-identical by contract, so nothing else needs to run here.
-    return KernelBackend{"reference", referenceGemm, referenceGemmTB,
-                         referenceGemmTA, referenceGemmInt8};
-  }();
-  return Dispatch;
-}
-
-void tunedGemm(size_t M, size_t K, size_t N, const float *A, const float *B,
-               float *C) {
-  tunedDispatch().Gemm(M, K, N, A, B, C);
-}
-void tunedGemmTB(size_t M, size_t K, size_t N, const float *A, const float *B,
-                 float *C) {
-  tunedDispatch().GemmTB(M, K, N, A, B, C);
-}
-void tunedGemmTA(size_t M, size_t K, size_t N, size_t Lda, const float *A,
-                 const float *B, float *C) {
-  tunedDispatch().GemmTA(M, K, N, Lda, A, B, C);
-}
-void tunedGemmInt8(size_t M, size_t K, size_t N, const float *A,
-                   const int8_t *Q, const float *Scale, float *C) {
-  tunedDispatch().GemmInt8(M, K, N, A, Q, Scale, C);
-}
-
-// --- Differential backend ----------------------------------------------------
-//
-// Runs tuned into C and reference into a private copy, then compares
-// bitwise. Mismatches are counted (and the tuned result kept, so the run
-// stays deterministic either way). Debug/test mode: the extra copy makes it
-// ~2x reference cost.
-
-thread_local std::vector<float> DiffScratch;
-
-void diffCompare(const float *Got, size_t Count) {
-  if (Count != 0 &&
-      std::memcmp(Got, DiffScratch.data(), Count * sizeof(float)) != 0)
-    DifferentialMismatchCount.fetch_add(1, std::memory_order_relaxed);
-}
-
-void diffGemm(size_t M, size_t K, size_t N, const float *A, const float *B,
-              float *C) {
-  DiffScratch.assign(C, C + M * N);
-  tunedGemm(M, K, N, A, B, C);
-  referenceGemm(M, K, N, A, B, DiffScratch.data());
-  diffCompare(C, M * N);
-}
-void diffGemmTB(size_t M, size_t K, size_t N, const float *A, const float *B,
-                float *C) {
-  DiffScratch.assign(C, C + M * N);
-  tunedGemmTB(M, K, N, A, B, C);
-  referenceGemmTB(M, K, N, A, B, DiffScratch.data());
-  diffCompare(C, M * N);
-}
-void diffGemmTA(size_t M, size_t K, size_t N, size_t Lda, const float *A,
-                const float *B, float *C) {
-  DiffScratch.assign(C, C + K * N);
-  tunedGemmTA(M, K, N, Lda, A, B, C);
-  referenceGemmTA(M, K, N, Lda, A, B, DiffScratch.data());
-  diffCompare(C, K * N);
-}
-void diffGemmInt8(size_t M, size_t K, size_t N, const float *A,
-                  const int8_t *Q, const float *Scale, float *C) {
-  DiffScratch.assign(C, C + M * N);
-  tunedGemmInt8(M, K, N, A, Q, Scale, C);
-  referenceGemmInt8(M, K, N, A, Q, Scale, DiffScratch.data());
-  diffCompare(C, M * N);
-}
-
-// --- Registry ----------------------------------------------------------------
-
-const KernelBackend ReferenceBackend = {"reference",      referenceGemm,
-                                        referenceGemmTB,  referenceGemmTA,
+const KernelBackend ReferenceKernels = {"reference", referenceGemm,
+                                        referenceGemmTB, referenceGemmTA,
                                         referenceGemmInt8};
-const KernelBackend TunedBackend = {"tuned", tunedGemm, tunedGemmTB,
-                                    tunedGemmTA, tunedGemmInt8};
-const KernelBackend DifferentialBackend = {"differential", diffGemm,
-                                           diffGemmTB, diffGemmTA,
-                                           diffGemmInt8};
 
-const KernelBackend *resolveInitial() {
-  if (const char *Env = std::getenv("SNOWWHITE_KERNEL"))
-    if (const KernelBackend *Backend = find(Env))
-      return Backend;
-  return &TunedBackend;
+#ifdef SNOWWHITE_AVX2_KERNELS
+const KernelBackend Avx2Kernels = {"avx2", avx2Gemm, avx2GemmTB, avx2GemmTA,
+                                   avx2GemmInt8};
+#endif
+
+/// The table this CPU runs: the AVX2 kernels exactly when it has AVX2.
+const KernelBackend &dispatchForCpu() {
+#ifdef SNOWWHITE_AVX2_KERNELS
+  if (__builtin_cpu_supports("avx2"))
+    return Avx2Kernels;
+#endif
+  // Without AVX2 the reference loops are the fast path too: the two are
+  // bit-identical by contract, so nothing else needs to run here.
+  return ReferenceKernels;
 }
-
-std::atomic<const KernelBackend *> Active{nullptr};
 
 } // namespace
 
-const std::vector<const KernelBackend *> &registry() {
-  static const std::vector<const KernelBackend *> All = {
-      &ReferenceBackend, &TunedBackend, &DifferentialBackend};
-  return All;
+const KernelBackend &reference() { return ReferenceKernels; }
+
+const KernelBackend &tuned() {
+  static const KernelBackend &Dispatch = dispatchForCpu();
+  return Dispatch;
 }
 
-const KernelBackend *find(std::string_view Name) {
-  for (const KernelBackend *Backend : registry())
-    if (Name == Backend->Name)
-      return Backend;
-  return nullptr;
-}
-
-const KernelBackend &active() {
-  const KernelBackend *Backend = Active.load(std::memory_order_acquire);
-  if (!Backend) {
-    Backend = resolveInitial();
-    Active.store(Backend, std::memory_order_release);
-  }
-  return *Backend;
-}
-
-const char *activeName() { return active().Name; }
-
-bool setActive(std::string_view Name) {
-  const KernelBackend *Backend = find(Name);
-  if (!Backend)
-    return false;
-  Active.store(Backend, std::memory_order_release);
-  return true;
-}
-
-const char *tunedDispatchName() { return tunedDispatch().Name; }
-
-uint64_t differentialMismatches() {
-  return DifferentialMismatchCount.load(std::memory_order_relaxed);
-}
+const char *activeName() { return tuned().Name; }
 
 // --- int8 quantization -------------------------------------------------------
 
@@ -579,7 +466,7 @@ void gemm(size_t M, size_t K, size_t N, const float *A, const float *B,
           float *C) {
   if (M == 0 || N == 0 || K == 0)
     return;
-  const KernelBackend &Backend = active();
+  const KernelBackend &Backend = tuned();
   parallelOverRows(M, K * N, [&](size_t I0, size_t I1) {
     Backend.Gemm(I1 - I0, K, N, A + I0 * K, B, C + I0 * N);
   });
@@ -589,7 +476,7 @@ void gemmTB(size_t M, size_t K, size_t N, const float *A, const float *B,
             float *C) {
   if (M == 0 || N == 0 || K == 0)
     return;
-  const KernelBackend &Backend = active();
+  const KernelBackend &Backend = tuned();
   parallelOverRows(M, K * N, [&](size_t I0, size_t I1) {
     Backend.GemmTB(I1 - I0, K, N, A + I0 * K, B, C + I0 * N);
   });
@@ -599,7 +486,7 @@ void gemmTA(size_t M, size_t K, size_t N, size_t Lda, const float *A,
             const float *B, float *C) {
   if (M == 0 || N == 0 || K == 0)
     return;
-  const KernelBackend &Backend = active();
+  const KernelBackend &Backend = tuned();
   // Output rows are the K axis; each slice sees a column window of A.
   parallelOverRows(K, M * N, [&](size_t P0, size_t P1) {
     Backend.GemmTA(M, P1 - P0, N, Lda, A + P0, B, C + P0 * N);
@@ -610,7 +497,7 @@ void gemmInt8(size_t M, size_t K, size_t N, const float *A, const int8_t *Q,
               const float *Scale, float *C) {
   if (M == 0 || N == 0 || K == 0)
     return;
-  const KernelBackend &Backend = active();
+  const KernelBackend &Backend = tuned();
   parallelOverRows(M, K * N, [&](size_t I0, size_t I1) {
     Backend.GemmInt8(I1 - I0, K, N, A + I0 * K, Q, Scale, C + I0 * N);
   });

@@ -1,20 +1,18 @@
-//===- nn/kernels.h - GEMM kernel backends and int8 quantization -----------===//
+//===- nn/kernels.h - GEMM kernels and int8 quantization -------------------===//
 //
 // The numeric substrate under Graph::matmul / matmulTransposeB and their
 // backward tapes. Every matrix product in the system routes through one of
-// three accumulate-into-C primitives (plus an int8 variant), provided by a
-// registry of interchangeable backends:
+// three accumulate-into-C primitives (plus an int8 variant). Two tables
+// implement them:
 //
-//   * `reference` — portable scalar loops, the executable specification.
-//   * `tuned`     — register-blocked and explicitly vectorized (AVX2
-//                   selected at runtime via __builtin_cpu_supports; on a
-//                   CPU without AVX2 it runs the `reference` loops).
-//                   Bit-identical to `reference` by construction: both
-//                   follow the same per-element accumulation chains (see
-//                   below).
-//   * `differential` — runs `tuned` and `reference` side by side and counts
-//                   any bitwise divergence; the safety net for tests, the
-//                   fuzzer, and field debugging.
+//   * `reference()` — portable scalar loops, the executable specification
+//                   and the test oracle.
+//   * `tuned()`     — what the threaded entry points run: the AVX2
+//                   register-blocked kernels when __builtin_cpu_supports
+//                   finds AVX2, else the `reference` loops. Chosen once per
+//                   process from the CPU. Bit-identical to `reference` by
+//                   construction: both follow the same per-element
+//                   accumulation chains (see below).
 //
 // Accumulation-chain contract (what makes bit-identity possible):
 //
@@ -34,12 +32,12 @@
 //   A reduction axis of length zero leaves C untouched (no "+= 0").
 //
 // Kernels never contract multiply+add into FMA (kernels.cpp is built with
-// -ffp-contract=off), so the chains above are exact on every backend.
+// -ffp-contract=off), so the chains above are exact in both tables.
 //
-// Threading stays *outside* the backends: the free-function wrappers
+// Threading stays *outside* the tables: the free-function entry points
 // (kernels::gemm etc.) partition output rows over the global ThreadPool and
-// call the active backend per disjoint slice. Chains are per-element, so
-// results are bit-identical for any thread count and any partition.
+// call `tuned()` per disjoint slice. Chains are per-element, so results are
+// bit-identical for any thread count and any partition.
 //
 //===----------------------------------------------------------------------===//
 
@@ -49,7 +47,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string_view>
 #include <vector>
 
 namespace snowwhite {
@@ -76,9 +73,9 @@ QuantizedMatrix quantizeRowwise(const float *W, size_t Rows, size_t Cols);
 /// Dequantizes one row into Out[Cols] (tests and debugging).
 void dequantizeRow(const QuantizedMatrix &Q, size_t Row, float *Out);
 
-// --- Backend registry --------------------------------------------------------
+// --- Kernel tables -----------------------------------------------------------
 
-/// One kernel backend: a name plus the four accumulate-into-C primitives.
+/// One kernel table: a name plus the four accumulate-into-C primitives.
 /// All primitives follow the accumulation-chain contract in the file header.
 struct KernelBackend {
   const char *Name;
@@ -99,30 +96,15 @@ struct KernelBackend {
                    const int8_t *Q, const float *Scale, float *C);
 };
 
-/// All registered backends, in registration order (reference first).
-const std::vector<const KernelBackend *> &registry();
+/// The scalar loops: the executable specification and the test oracle.
+const KernelBackend &reference();
 
-/// Lookup by name ("reference", "tuned", "differential"); nullptr if unknown.
-const KernelBackend *find(std::string_view Name);
+/// The table this CPU was dispatched to, and what the threaded entry points
+/// run: named "avx2", or "reference" when the CPU lacks AVX2.
+const KernelBackend &tuned();
 
-/// The backend the graph routes through. Resolution order: the last
-/// successful setActive() call, else the SNOWWHITE_KERNEL environment
-/// variable (unknown names are ignored), else "tuned".
-const KernelBackend &active();
+/// tuned().Name, the dispatch target (perfbench records it).
 const char *activeName();
-
-/// Selects the active backend by name. Returns false (and changes nothing)
-/// for unknown names. Not thread-safe against in-flight kernels; call it
-/// from setup code only.
-bool setActive(std::string_view Name);
-
-/// The tuned backend's dispatch target on this machine: "avx2", or
-/// "reference" when the CPU lacks AVX2.
-const char *tunedDispatchName();
-
-/// Bitwise tuned-vs-reference divergences observed by the `differential`
-/// backend since process start. Any nonzero value is a bug.
-uint64_t differentialMismatches();
 
 // --- Threaded entry points (what Graph calls) --------------------------------
 
@@ -135,8 +117,14 @@ void gemmTA(size_t M, size_t K, size_t N, size_t Lda, const float *A,
 void gemmInt8(size_t M, size_t K, size_t N, const float *A, const int8_t *Q,
               const float *Scale, float *C);
 
+/// Minimum total inner-loop operations before a kernel fans out over the
+/// pool; below this the scheduling overhead exceeds the loop cost. Shared by
+/// parallelOverRows and the ops that manage their own pool dispatch (the
+/// embedding-gradient scatter in graph.cpp).
+constexpr size_t ParallelMinWork = 1 << 15;
+
 /// Runs Body over disjoint row ranges of [0, Rows), fanning out over the
-/// global pool only when the total work clears the dispatch-overhead
+/// global pool only when the total work clears the ParallelMinWork
 /// threshold. A single row can never be split, so Rows == 1 always runs
 /// inline (beam-search GEMV steps must not pay pool overhead; see
 /// poolDispatchCount). Exposed for the non-matmul kernels in graph.cpp.

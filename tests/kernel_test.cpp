@@ -1,12 +1,11 @@
-//===- tests/kernel_test.cpp - GEMM kernel backend tests -------------------===//
+//===- tests/kernel_test.cpp - GEMM kernel tests ---------------------------===//
 //
-// The kernel layer's contract (nn/kernels.h): registry and dispatch
-// selection, bit-for-bit tuned-vs-reference identity over hostile shapes,
-// the differential backend's mismatch counter, numeric correctness against
-// double-precision, int8 quantization (including degenerate rows), arena
-// reset/reuse semantics, the tiny-shape pool-dispatch fast path, and
-// thread-count invariance. Carries the `kernels` ctest label (plus
-// `threaded` for the TSan preset).
+// The kernel layer's contract (nn/kernels.h): the CPU dispatch, bit-for-bit
+// tuned-vs-reference identity over hostile shapes, numeric correctness
+// against double-precision, int8 quantization (including degenerate rows),
+// arena reset/reuse semantics, the tiny-shape pool-dispatch fast path, and
+// the threaded entry points against the reference at several pool sizes.
+// Carries the `kernels` ctest label (plus `threaded` for the TSan preset).
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,15 +26,9 @@ namespace {
 
 namespace kernels = nn::kernels;
 
-/// Restores the active backend (and the global pool) on scope exit so test
-/// order never leaks state.
-struct BackendGuard {
-  std::string Saved;
-  BackendGuard() : Saved(kernels::activeName()) {}
-  ~BackendGuard() {
-    kernels::setActive(Saved);
-    ThreadPool::resetGlobal(0);
-  }
+/// Restores the global pool on scope exit so test order never leaks state.
+struct PoolGuard {
+  ~PoolGuard() { ThreadPool::resetGlobal(0); }
 };
 
 std::vector<float> randomMatrix(size_t Elements, uint64_t Seed) {
@@ -50,43 +43,11 @@ std::vector<float> randomMatrix(size_t Elements, uint64_t Seed) {
 /// width the tuned kernels use (4-row blocks, 8/16-wide column tiles).
 const size_t HostileSizes[] = {0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 33};
 
-// --- Registry and dispatch ---------------------------------------------------
+// --- CPU dispatch ------------------------------------------------------------
 
-TEST(KernelRegistry, ThreeBackendsReferenceFirst) {
-  const auto &All = kernels::registry();
-  ASSERT_EQ(All.size(), 3u);
-  EXPECT_STREQ(All[0]->Name, "reference");
-  EXPECT_STREQ(All[1]->Name, "tuned");
-  EXPECT_STREQ(All[2]->Name, "differential");
-  for (const kernels::KernelBackend *Backend : All) {
-    EXPECT_NE(Backend->Gemm, nullptr);
-    EXPECT_NE(Backend->GemmTB, nullptr);
-    EXPECT_NE(Backend->GemmTA, nullptr);
-    EXPECT_NE(Backend->GemmInt8, nullptr);
-  }
-}
-
-TEST(KernelRegistry, FindByName) {
-  EXPECT_NE(kernels::find("reference"), nullptr);
-  EXPECT_NE(kernels::find("tuned"), nullptr);
-  EXPECT_NE(kernels::find("differential"), nullptr);
-  EXPECT_EQ(kernels::find("no-such-backend"), nullptr);
-  EXPECT_EQ(kernels::find(""), nullptr);
-}
-
-TEST(KernelRegistry, SetActiveSwitchesAndRejectsUnknown) {
-  BackendGuard Guard;
-  ASSERT_TRUE(kernels::setActive("reference"));
-  EXPECT_STREQ(kernels::activeName(), "reference");
-  // Unknown names are rejected without changing the selection.
-  EXPECT_FALSE(kernels::setActive("turbo"));
-  EXPECT_STREQ(kernels::activeName(), "reference");
-  ASSERT_TRUE(kernels::setActive("tuned"));
-  EXPECT_STREQ(kernels::activeName(), "tuned");
-}
-
-TEST(KernelRegistry, TunedDispatchIsReported) {
-  std::string Target = kernels::tunedDispatchName();
+TEST(KernelDispatch, TunedDispatchIsReported) {
+  std::string Target = kernels::activeName();
+  EXPECT_EQ(Target, kernels::tuned().Name);
   EXPECT_TRUE(Target == "avx2" || Target == "reference") << Target;
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   // The dispatch follows the CPU: the AVX2 kernels exactly when it has AVX2.
@@ -115,28 +76,28 @@ void expectBitIdentical(GemmFn Reference, GemmFn Tuned, size_t M, size_t K,
 }
 
 TEST(KernelBitIdentity, GemmHostileShapeGrid) {
-  const kernels::KernelBackend *Ref = kernels::find("reference");
-  const kernels::KernelBackend *Tuned = kernels::find("tuned");
+  const kernels::KernelBackend &Ref = kernels::reference();
+  const kernels::KernelBackend &Tuned = kernels::tuned();
   for (size_t M : HostileSizes)
     for (size_t K : HostileSizes)
       for (size_t N : HostileSizes)
-        expectBitIdentical(Ref->Gemm, Tuned->Gemm, M, K, N, M * K, K * N,
+        expectBitIdentical(Ref.Gemm, Tuned.Gemm, M, K, N, M * K, K * N,
                            M * N);
 }
 
 TEST(KernelBitIdentity, GemmTBHostileShapeGrid) {
-  const kernels::KernelBackend *Ref = kernels::find("reference");
-  const kernels::KernelBackend *Tuned = kernels::find("tuned");
+  const kernels::KernelBackend &Ref = kernels::reference();
+  const kernels::KernelBackend &Tuned = kernels::tuned();
   for (size_t M : HostileSizes)
     for (size_t K : HostileSizes)
       for (size_t N : HostileSizes)
-        expectBitIdentical(Ref->GemmTB, Tuned->GemmTB, M, K, N, M * K, N * K,
+        expectBitIdentical(Ref.GemmTB, Tuned.GemmTB, M, K, N, M * K, N * K,
                            M * N);
 }
 
 TEST(KernelBitIdentity, GemmTAHostileShapeGrid) {
-  const kernels::KernelBackend *Ref = kernels::find("reference");
-  const kernels::KernelBackend *Tuned = kernels::find("tuned");
+  const kernels::KernelBackend &Ref = kernels::reference();
+  const kernels::KernelBackend &Tuned = kernels::tuned();
   for (size_t M : HostileSizes)
     for (size_t K : HostileSizes)
       for (size_t N : HostileSizes) {
@@ -144,8 +105,8 @@ TEST(KernelBitIdentity, GemmTAHostileShapeGrid) {
         std::vector<float> B = randomMatrix(M * N, 13 + M + K + N);
         std::vector<float> CRef = randomMatrix(K * N, 17 + M + K + N);
         std::vector<float> CTuned = CRef;
-        Ref->GemmTA(M, K, N, K, A.data(), B.data(), CRef.data());
-        Tuned->GemmTA(M, K, N, K, A.data(), B.data(), CTuned.data());
+        Ref.GemmTA(M, K, N, K, A.data(), B.data(), CRef.data());
+        Tuned.GemmTA(M, K, N, K, A.data(), B.data(), CTuned.data());
         ASSERT_TRUE(K * N == 0 || std::memcmp(CRef.data(), CTuned.data(),
                                               K * N * sizeof(float)) == 0)
             << "M=" << M << " K=" << K << " N=" << N;
@@ -156,8 +117,8 @@ TEST(KernelBitIdentity, GemmTAColumnSlices) {
   // GemmTA's Lda parameter slices columns out of a wider A; the threaded
   // wrapper relies on it when partitioning dB rows. Every (offset, width)
   // window of a 7-column matrix must agree bitwise between backends.
-  const kernels::KernelBackend *Ref = kernels::find("reference");
-  const kernels::KernelBackend *Tuned = kernels::find("tuned");
+  const kernels::KernelBackend &Ref = kernels::reference();
+  const kernels::KernelBackend &Tuned = kernels::tuned();
   size_t M = 9, Lda = 7, N = 13;
   std::vector<float> A = randomMatrix(M * Lda, 23);
   std::vector<float> B = randomMatrix(M * N, 29);
@@ -165,8 +126,8 @@ TEST(KernelBitIdentity, GemmTAColumnSlices) {
     for (size_t K = 1; K + Offset <= Lda; ++K) {
       std::vector<float> CRef = randomMatrix(K * N, 31 + Offset + K);
       std::vector<float> CTuned = CRef;
-      Ref->GemmTA(M, K, N, Lda, A.data() + Offset, B.data(), CRef.data());
-      Tuned->GemmTA(M, K, N, Lda, A.data() + Offset, B.data(), CTuned.data());
+      Ref.GemmTA(M, K, N, Lda, A.data() + Offset, B.data(), CRef.data());
+      Tuned.GemmTA(M, K, N, Lda, A.data() + Offset, B.data(), CTuned.data());
       ASSERT_EQ(
           std::memcmp(CRef.data(), CTuned.data(), K * N * sizeof(float)), 0)
           << "Offset=" << Offset << " K=" << K;
@@ -174,8 +135,8 @@ TEST(KernelBitIdentity, GemmTAColumnSlices) {
 }
 
 TEST(KernelBitIdentity, Int8HostileShapeGrid) {
-  const kernels::KernelBackend *Ref = kernels::find("reference");
-  const kernels::KernelBackend *Tuned = kernels::find("tuned");
+  const kernels::KernelBackend &Ref = kernels::reference();
+  const kernels::KernelBackend &Tuned = kernels::tuned();
   for (size_t M : HostileSizes)
     for (size_t K : HostileSizes)
       for (size_t N : HostileSizes) {
@@ -184,10 +145,10 @@ TEST(KernelBitIdentity, Int8HostileShapeGrid) {
         kernels::QuantizedMatrix Q = kernels::quantizeRowwise(W.data(), K, N);
         std::vector<float> CRef = randomMatrix(M * N, 47 + M + K + N);
         std::vector<float> CTuned = CRef;
-        Ref->GemmInt8(M, K, N, A.data(), Q.Data.data(), Q.RowScale.data(),
-                      CRef.data());
-        Tuned->GemmInt8(M, K, N, A.data(), Q.Data.data(), Q.RowScale.data(),
-                        CTuned.data());
+        Ref.GemmInt8(M, K, N, A.data(), Q.Data.data(), Q.RowScale.data(),
+                     CRef.data());
+        Tuned.GemmInt8(M, K, N, A.data(), Q.Data.data(), Q.RowScale.data(),
+                       CTuned.data());
         ASSERT_TRUE(M * N == 0 || std::memcmp(CRef.data(), CTuned.data(),
                                               M * N * sizeof(float)) == 0)
             << "M=" << M << " K=" << K << " N=" << N;
@@ -196,10 +157,11 @@ TEST(KernelBitIdentity, Int8HostileShapeGrid) {
 
 TEST(KernelBitIdentity, ZeroLengthReductionLeavesCUntouched) {
   // The contract says K == 0 must not even add 0.0f into C: a -0.0f entry
-  // would flip to +0.0f. All backends, all primitives.
+  // would flip to +0.0f. Both tables, all primitives.
   std::vector<float> A, B;
   std::vector<float> Pristine(12, -0.0f);
-  for (const kernels::KernelBackend *Backend : kernels::registry()) {
+  for (const kernels::KernelBackend *Backend :
+       {&kernels::reference(), &kernels::tuned()}) {
     std::vector<float> C = Pristine;
     Backend->Gemm(3, 0, 4, A.data(), B.data(), C.data());
     Backend->GemmTB(3, 0, 4, A.data(), B.data(), C.data());
@@ -210,29 +172,6 @@ TEST(KernelBitIdentity, ZeroLengthReductionLeavesCUntouched) {
   }
 }
 
-// --- Differential backend ----------------------------------------------------
-
-TEST(KernelDifferential, CountsNoMismatchOnHealthyKernels) {
-  BackendGuard Guard;
-  uint64_t Before = kernels::differentialMismatches();
-  ASSERT_TRUE(kernels::setActive("differential"));
-  for (size_t M : {1, 3, 8, 17})
-    for (size_t K : {1, 5, 16})
-      for (size_t N : {1, 7, 32}) {
-        std::vector<float> A = randomMatrix(M * K, 51);
-        std::vector<float> B = randomMatrix(K * N, 53);
-        std::vector<float> C(M * N, 0.0f);
-        kernels::gemm(M, K, N, A.data(), B.data(), C.data());
-        std::vector<float> BT = randomMatrix(N * K, 57);
-        kernels::gemmTB(M, K, N, A.data(), BT.data(), C.data());
-        std::vector<float> G = randomMatrix(M * N, 59);
-        std::vector<float> DB(K * N, 0.0f);
-        kernels::gemmTA(M, K, N, K, A.data(), G.data(), DB.data());
-      }
-  EXPECT_EQ(kernels::differentialMismatches(), Before)
-      << "tuned and reference diverged bitwise";
-}
-
 // --- Numeric correctness -----------------------------------------------------
 
 TEST(KernelNumerics, ReferenceMatchesDoublePrecision) {
@@ -240,7 +179,7 @@ TEST(KernelNumerics, ReferenceMatchesDoublePrecision) {
   std::vector<float> A = randomMatrix(M * K, 61);
   std::vector<float> B = randomMatrix(K * N, 67);
   std::vector<float> C(M * N, 0.0f);
-  kernels::find("reference")->Gemm(M, K, N, A.data(), B.data(), C.data());
+  kernels::reference().Gemm(M, K, N, A.data(), B.data(), C.data());
   for (size_t I = 0; I < M; ++I)
     for (size_t J = 0; J < N; ++J) {
       double Exact = 0.0;
@@ -255,7 +194,7 @@ TEST(KernelNumerics, GemmTBMatchesDoublePrecision) {
   std::vector<float> A = randomMatrix(M * K, 71);
   std::vector<float> B = randomMatrix(N * K, 73);
   std::vector<float> C(M * N, 0.0f);
-  kernels::find("reference")->GemmTB(M, K, N, A.data(), B.data(), C.data());
+  kernels::reference().GemmTB(M, K, N, A.data(), B.data(), C.data());
   for (size_t I = 0; I < M; ++I)
     for (size_t J = 0; J < N; ++J) {
       double Exact = 0.0;
@@ -353,10 +292,9 @@ TEST(KernelInt8, GemmInt8ApproximatesF32) {
   std::vector<float> W = randomMatrix(K * N, 103);
   kernels::QuantizedMatrix Q = kernels::quantizeRowwise(W.data(), K, N);
   std::vector<float> Exact(M * N, 0.0f), Approx(M * N, 0.0f);
-  kernels::find("reference")->Gemm(M, K, N, A.data(), W.data(), Exact.data());
-  kernels::find("reference")
-      ->GemmInt8(M, K, N, A.data(), Q.Data.data(), Q.RowScale.data(),
-                 Approx.data());
+  kernels::reference().Gemm(M, K, N, A.data(), W.data(), Exact.data());
+  kernels::reference().GemmInt8(M, K, N, A.data(), Q.Data.data(),
+                                Q.RowScale.data(), Approx.data());
   // Worst-case per-term quantization error is scale/2 * |a|; bound the sum.
   for (size_t I = 0; I < M; ++I)
     for (size_t J = 0; J < N; ++J) {
@@ -487,7 +425,7 @@ TEST(ArenaTest, InferenceGraphsShareTheThreadArena) {
 // --- Pool dispatch fast path -------------------------------------------------
 
 TEST(KernelDispatch, SingleRowNeverPaysPoolDispatch) {
-  BackendGuard Guard;
+  PoolGuard Guard;
   ThreadPool::resetGlobal(4);
   // A beam-search-sized GEMV: M = 1 but K*N far above the work threshold.
   size_t K = 256, N = 512;
@@ -507,30 +445,45 @@ TEST(KernelDispatch, SingleRowNeverPaysPoolDispatch) {
 }
 
 TEST(KernelDispatch, ThreadCountInvariance) {
-  BackendGuard Guard;
-  size_t M = 17, K = 33, N = 31;
+  // The threaded entry points equal the reference table bit for bit on all
+  // four primitives at every pool size. The shape clears ParallelMinWork,
+  // so a pool wider than one thread splits the output rows.
+  PoolGuard Guard;
+  const kernels::KernelBackend &Ref = kernels::reference();
+  size_t M = 37, K = 67, N = 45;
+  ASSERT_GE(M * K * N, kernels::ParallelMinWork);
   std::vector<float> A = randomMatrix(M * K, 211);
   std::vector<float> B = randomMatrix(K * N, 213);
   std::vector<float> BT = randomMatrix(N * K, 217);
   std::vector<float> G = randomMatrix(M * N, 219);
-  std::vector<std::vector<float>> Results;
+  kernels::QuantizedMatrix Q = kernels::quantizeRowwise(B.data(), K, N);
+  // Nonzero C exercises the accumulate (not overwrite) semantics.
+  std::vector<float> C0 = randomMatrix(M * N, 223);
+  std::vector<float> D0 = randomMatrix(K * N, 227);
+  const char *Names[] = {"gemm", "gemmTB", "gemmTA", "gemmInt8"};
+  std::vector<float> Want[] = {C0, C0, D0, C0};
+  Ref.Gemm(M, K, N, A.data(), B.data(), Want[0].data());
+  Ref.GemmTB(M, K, N, A.data(), BT.data(), Want[1].data());
+  Ref.GemmTA(M, K, N, K, A.data(), G.data(), Want[2].data());
+  Ref.GemmInt8(M, K, N, A.data(), Q.Data.data(), Q.RowScale.data(),
+               Want[3].data());
   for (unsigned Threads : {1u, 2u, 4u}) {
     ThreadPool::resetGlobal(Threads);
-    std::vector<float> C(M * N, 0.0f), DTB(M * N, 0.0f), DTA(K * N, 0.0f);
-    kernels::gemm(M, K, N, A.data(), B.data(), C.data());
-    kernels::gemmTB(M, K, N, A.data(), BT.data(), DTB.data());
-    kernels::gemmTA(M, K, N, K, A.data(), G.data(), DTA.data());
-    std::vector<float> All;
-    All.insert(All.end(), C.begin(), C.end());
-    All.insert(All.end(), DTB.begin(), DTB.end());
-    All.insert(All.end(), DTA.begin(), DTA.end());
-    Results.push_back(std::move(All));
+    uint64_t Before = kernels::poolDispatchCount();
+    std::vector<float> Got[] = {C0, C0, D0, C0};
+    kernels::gemm(M, K, N, A.data(), B.data(), Got[0].data());
+    kernels::gemmTB(M, K, N, A.data(), BT.data(), Got[1].data());
+    kernels::gemmTA(M, K, N, K, A.data(), G.data(), Got[2].data());
+    kernels::gemmInt8(M, K, N, A.data(), Q.Data.data(), Q.RowScale.data(),
+                      Got[3].data());
+    EXPECT_EQ(kernels::poolDispatchCount() - Before, Threads == 1 ? 0u : 4u)
+        << Threads << " threads";
+    for (size_t P = 0; P < 4; ++P)
+      EXPECT_EQ(std::memcmp(Want[P].data(), Got[P].data(),
+                            Want[P].size() * sizeof(float)),
+                0)
+          << Names[P] << " at " << Threads << " threads";
   }
-  for (size_t I = 1; I < Results.size(); ++I)
-    EXPECT_EQ(std::memcmp(Results[0].data(), Results[I].data(),
-                          Results[0].size() * sizeof(float)),
-              0)
-        << "thread count changed kernel results";
 }
 
 } // namespace

@@ -58,7 +58,7 @@
 //                   [--tenant-capacity N] [--tenant-refill N]
 //                   [--snapshot PATH] [--snapshot-every N]
 //                   [--poison-strikes N] [--shard-cost-budget N]
-//                   [--fail-rate F] [--budget N] [--seed S]
+//                   [--fail-rate F] [--budget N] [--queue N] [--seed S]
 //       The serving daemon as a line-oriented REPL: each stdin line is a
 //       whitespace-separated wasm input-token sequence; the response line is
 //       printed to stdout. Without --daemon it runs one worker and no
@@ -106,6 +106,7 @@
 #include "wasm/writer.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -756,6 +757,23 @@ void printCacheStats(const model::CacheStats &Stats) {
               static_cast<unsigned long long>(Stats.Entries));
 }
 
+/// Parses Flag's value Text as a positive integer into Out. A queue bound or
+/// worker count of zero can never answer a request, so zero, a sign or
+/// trailing junk prints the usage and returns false.
+bool parsePositiveCount(const char *Flag, const char *Text, const char *Usage,
+                        size_t &Out) {
+  size_t Value = 0;
+  const char *End = Text + std::strlen(Text);
+  auto [Ptr, Ec] = std::from_chars(Text, End, Value);
+  if (Ec == std::errc() && Ptr == End && Value > 0) {
+    Out = Value;
+    return true;
+  }
+  std::fprintf(stderr, "%s needs a positive integer, got '%s'\nusage: %s\n",
+               Flag, Text, Usage);
+  return false;
+}
+
 /// Parses the flags shared by predict-batch and serve. Returns false (after
 /// printing to stderr) on a malformed command line.
 bool parseServingFlags(int argc, char **argv, const char *Usage,
@@ -793,9 +811,8 @@ bool parseServingFlags(int argc, char **argv, const char *Usage,
       Budget = static_cast<uint64_t>(std::atoll(V));
     } else if (std::strcmp(argv[I], "--queue") == 0) {
       const char *V = Value("--queue");
-      if (!V)
+      if (!V || !parsePositiveCount("--queue", V, Usage, QueueCap))
         return false;
-      QueueCap = static_cast<size_t>(std::atoll(V));
     } else if (std::strcmp(argv[I], "--seed") == 0) {
       const char *V = Value("--seed");
       if (!V)
@@ -1019,8 +1036,8 @@ static int commandServe(int argc, char **argv) {
       "snowwhite serve [--daemon] [--workers N] [--cache-bytes N] "
       "[--tenant-capacity N] [--tenant-refill N] [--snapshot PATH] "
       "[--snapshot-every N] [--poison-strikes N] [--shard-cost-budget N] "
-      "[--fail-rate F] [--budget N] [--seed S] [--verbose] [--int8] "
-      "[--metrics-out F] [--trace-out F]";
+      "[--fail-rate F] [--budget N] [--queue N] [--seed S] [--verbose] "
+      "[--int8] [--metrics-out F] [--trace-out F]";
   // Daemon flags are peeled off first; the remainder goes through the shared
   // serving-flag parser. --daemon only changes the worker and cache
   // defaults.
@@ -1046,9 +1063,10 @@ static int commandServe(int argc, char **argv) {
       Daemon = true;
     } else if (std::strcmp(argv[I], "--workers") == 0) {
       const char *V = Value("--workers");
-      if (!V)
+      size_t Count = 0;
+      if (!V || !parsePositiveCount("--workers", V, Usage, Count))
         return 2;
-      Workers = static_cast<size_t>(std::atoll(V));
+      Workers = Count;
     } else if (std::strcmp(argv[I], "--cache-bytes") == 0) {
       const char *V = Value("--cache-bytes");
       if (!V)
@@ -1177,8 +1195,8 @@ int main(int argc, char **argv) {
                  "[--tenant-capacity N] [--tenant-refill N] "
                  "[--snapshot PATH] [--snapshot-every N] "
                  "[--poison-strikes N] [--shard-cost-budget N] "
-                 "[--fail-rate F] [--budget N] [--seed S] [--int8] "
-                 "[--metrics-out F]\n"
+                 "[--fail-rate F] [--budget N] [--queue N] [--seed S] "
+                 "[--int8] [--metrics-out F]\n"
                  "  snowwhite health <snapshot>\n"
                  "  snowwhite metrics [--check FILE]\n");
     return 2;

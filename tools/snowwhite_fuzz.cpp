@@ -1154,21 +1154,19 @@ void fuzzFill(Rng &R, std::vector<float> &M) {
     V = R.nextUniformFloat(2.0f);
 }
 
-/// --kernels: cross-checks the tuned GEMM backend against the scalar
-/// reference bit-for-bit on random shapes and data, for all four kernel
-/// primitives. The tuned side goes through the threaded wrappers (pool size
-/// cycled every 2500 iterations), so this also fuzzes the row-partitioning
-/// and the thread-count-invariance contract; the reference side calls the
-/// backend directly. Each iteration also round-trips the int8 quantizer —
-/// with zero and constant rows injected — and checks its degenerate-row
-/// contract (finite non-negative scales, codes in [-127, 127]).
+/// --kernels: cross-checks the GEMM kernels this CPU runs against the
+/// scalar reference bit-for-bit on random shapes and data, for all four
+/// kernel primitives. The checked side goes through the threaded entry
+/// points (pool size cycled every 2500 iterations); the reference side calls
+/// the reference table directly. Shapes are at most 33 on a side, so they
+/// almost never clear ParallelMinWork and split over the pool:
+/// KernelDispatch.ThreadCountInvariance (kernel_test) checks the row
+/// partition. Each iteration also round-trips the int8 quantizer — with
+/// zero and constant rows injected — and checks its degenerate-row contract
+/// (finite non-negative scales, codes in [-127, 127]).
 int runKernelFuzz(uint64_t Iterations, uint64_t Seed) {
   namespace kernels = nn::kernels;
-  const kernels::KernelBackend *Ref = kernels::find("reference");
-  if (!Ref || !kernels::setActive("tuned")) {
-    std::fprintf(stderr, "error: kernel backends missing from registry\n");
-    return 1;
-  }
+  const kernels::KernelBackend &Ref = kernels::reference();
 
   const unsigned PoolSizes[] = {1, 4, 2, 3};
   uint64_t Checked = 0, Mismatches = 0, QuantRows = 0, DegenerateRows = 0;
@@ -1207,17 +1205,17 @@ int runKernelFuzz(uint64_t Iterations, uint64_t Seed) {
 
     switch (I % 4) {
     case 0:
-      Ref->Gemm(M, K, N, A.data(), B.data(), CRef.data());
+      Ref.Gemm(M, K, N, A.data(), B.data(), CRef.data());
       kernels::gemm(M, K, N, A.data(), B.data(), CTuned.data());
       check("gemm", CRef, CTuned);
       break;
     case 1:
-      Ref->GemmTB(M, K, N, A.data(), BT.data(), CRef.data());
+      Ref.GemmTB(M, K, N, A.data(), BT.data(), CRef.data());
       kernels::gemmTB(M, K, N, A.data(), BT.data(), CTuned.data());
       check("gemmTB", CRef, CTuned);
       break;
     case 2:
-      Ref->GemmTA(M, K, N, K, A.data(), G.data(), DRef.data());
+      Ref.GemmTA(M, K, N, K, A.data(), G.data(), DRef.data());
       kernels::gemmTA(M, K, N, K, A.data(), G.data(), DTuned.data());
       check("gemmTA", DRef, DTuned);
       break;
@@ -1251,8 +1249,8 @@ int runKernelFuzz(uint64_t Iterations, uint64_t Seed) {
                        static_cast<unsigned long long>(I), Row);
         }
       }
-      Ref->GemmInt8(M, K, N, A.data(), Q.Data.data(), Q.RowScale.data(),
-                    CRef.data());
+      Ref.GemmInt8(M, K, N, A.data(), Q.Data.data(), Q.RowScale.data(),
+                   CRef.data());
       kernels::gemmInt8(M, K, N, A.data(), Q.Data.data(), Q.RowScale.data(),
                         CTuned.data());
       check("gemmInt8", CRef, CTuned);
